@@ -1,21 +1,20 @@
 """Multipath microwave imaging: geometrical-optics ray engines paired with a
 polarization-aware back-projection adjoint and synthetic forward models."""
 
-from .errors import (CrossPolarized, EmptyImage, EmptyInput, GrazingIncidence,
+from .errors import (EmptyImage, EmptyInput, GrazingIncidence,
                      NonPlanarReflector, ScenarioError, ShapeMismatch,
                      Singular, UnresolvedLobe)
 from .geometry import (Bvh, Facet, Hit, Scene, intersect, mirror_point,
                        occluded, reflect_direction)
 from .propagation import (ImagePathTable, PropagationPath, SbrConfig,
-                          WavefrontPair, find_paths_images, find_paths_sbr,
-                          pair_wavefronts, path_hash, transport_polarization)
+                          find_paths_images, find_paths_sbr, path_hash)
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
                      MeasurementSet, PointScatterer, add_noise, dipole_field,
                      image_dipole, synthesize_radiation_data,
                      synthesize_scattering_data)
 from .imaging import (ImageGrid, PsfMetrics, ReconstructionConfig,
-                      adjoint_pair_check, build_path_table, image_entropy,
-                      naive_bpa, peak_locations, psf_metrics, rt_bpa)
+                      adjoint_pair_check, image_entropy, naive_bpa,
+                      peak_locations, psf_metrics, rt_bpa)
 from .scenes import (SCENARIOS, Scenario, get_scenario, load_scenario,
                      save_scenario, scenario_parallel_plates,
                      scenario_three_spheres, scenario_tum_logo)
@@ -23,18 +22,16 @@ from .scenes import (SCENARIOS, Scenario, get_scenario, load_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaArray", "Bvh", "CrossPolarized", "DipoleSource", "EmptyImage",
-    "EmptyInput", "Facet", "FrequencySweep", "GrazingIncidence", "Hit",
-    "ImageGrid", "ImagePathTable", "MeasurementSet", "NonPlanarReflector",
-    "PointScatterer", "PropagationPath", "PsfMetrics", "ReconstructionConfig",
-    "SCENARIOS", "SbrConfig", "Scenario", "ScenarioError", "Scene",
-    "ShapeMismatch", "Singular", "UnresolvedLobe", "WavefrontPair",
-    "add_noise", "adjoint_pair_check", "build_path_table", "dipole_field",
-    "find_paths_images", "find_paths_sbr", "get_scenario", "image_dipole",
-    "image_entropy", "intersect", "load_scenario", "mirror_point",
-    "naive_bpa", "occluded", "pair_wavefronts", "path_hash", "peak_locations",
+    "AntennaArray", "Bvh", "DipoleSource", "EmptyImage", "EmptyInput",
+    "Facet", "FrequencySweep", "GrazingIncidence", "Hit", "ImageGrid",
+    "ImagePathTable", "MeasurementSet", "NonPlanarReflector", "PointScatterer",
+    "PropagationPath", "PsfMetrics", "ReconstructionConfig", "SCENARIOS",
+    "SbrConfig", "Scenario", "ScenarioError", "Scene", "ShapeMismatch",
+    "Singular", "UnresolvedLobe", "add_noise", "adjoint_pair_check",
+    "dipole_field", "find_paths_images", "find_paths_sbr", "get_scenario",
+    "image_dipole", "image_entropy", "intersect", "load_scenario",
+    "mirror_point", "naive_bpa", "occluded", "path_hash", "peak_locations",
     "psf_metrics", "reflect_direction", "rt_bpa", "save_scenario",
     "scenario_parallel_plates", "scenario_three_spheres", "scenario_tum_logo",
     "synthesize_radiation_data", "synthesize_scattering_data",
-    "transport_polarization",
 ]

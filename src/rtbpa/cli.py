@@ -56,6 +56,18 @@ class RunManifest:
         return doc
 
 
+def _workers_from_args(args) -> int:
+    """--workers, else the RTBPA_WORKERS environment variable, else 1."""
+    if args.workers is not None:
+        return args.workers
+    raw = os.environ.get("RTBPA_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(
+            f"RTBPA_WORKERS must be an integer, got {raw!r}") from None
+
+
 def _manifest_from_args(args) -> RunManifest:
     return RunManifest(
         scenario=args.scenario,
@@ -66,7 +78,7 @@ def _manifest_from_args(args) -> RunManifest:
         apply_half_wave=not args.no_half_wave,
         grid_dims=tuple(args.grid) if args.grid else None,
         seed=args.seed,
-        workers=args.workers,
+        workers=_workers_from_args(args),
         out_dir=args.out,
     )
 
@@ -159,9 +171,16 @@ def cmd_reconstruct(manifest: RunManifest, data_file: str,
                     algorithm: str) -> int:
     scenario = _resolve_scenario(manifest.scenario)
     data = rio.read_measurements(data_file)
-    if data.n_rx != scenario.arrays.rx_positions.shape[0] or not np.allclose(
-            data.rx_positions, scenario.arrays.rx_positions):
-        raise ShapeMismatch("measurement rx axis does not match the scenario")
+    if data.mode != scenario.mode:
+        raise ShapeMismatch(f"measurement mode {data.mode} does not match "
+                            f"the {scenario.mode} scenario")
+    axes = [("rx", data.rx_positions, scenario.arrays.rx_positions)]
+    if data.mode == "scattering":
+        axes.append(("tx", data.tx_positions, scenario.arrays.tx_positions))
+    for name, got, want in axes:
+        if got.shape != want.shape or not np.allclose(got, want):
+            raise ShapeMismatch(
+                f"measurement {name} axis does not match the scenario")
     grid = _grid_for(manifest, scenario)
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,8 +262,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-half-wave", action="store_true", dest="no_half_wave")
     p.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("RTBPA_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: $RTBPA_WORKERS or 1)")
     p.add_argument("--out", default=".", help="output directory")
 
 

@@ -9,10 +9,6 @@ class GrazingIncidence(RtbpaError):
     """Ray direction is (numerically) parallel to the reflecting surface."""
 
 
-class CrossPolarized(RtbpaError):
-    """Transported field is orthogonal to the reference co-pol vector."""
-
-
 class NonPlanarReflector(RtbpaError):
     """A reflector without a supporting plane was used for image construction."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyInput, Singular
 from .geometry import Facet, Scene, as_vec3, unit
 from .propagation import (CROSS_POL_THRESHOLD, ImagePathTable, SbrConfig,
-                          _leg_copol_amplitude, sbr_trace)
+                          capture_masks, sbr_trace)
 
 C0 = 299792458.0  # m/s
 
@@ -205,11 +205,18 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
 
 def _accumulate_leg_spectrum(table: ImagePathTable, point: np.ndarray,
                              orientation: np.ndarray, kvals: np.ndarray,
-                             amplitude: AmplitudeMode) -> np.ndarray:
-    """Sum of coeff * exp(-j k L) over all legs from `point`, shape (A, K)."""
+                             amplitude: AmplitudeMode,
+                             captured=None) -> np.ndarray:
+    """Sum of coeff * exp(-j k L) over all legs from `point`, shape (A, K).
+
+    With `captured` (the `capture_masks` of one SBR launch from `point`) only
+    the captured (sequence, antenna) legs count.
+    """
     acc = np.zeros((table.antennas.shape[0], kvals.size), dtype=np.complex128)
     for seq, lengths, amp, tnorm, valid in table.eval(point[None, :],
                                                       orientation=orientation):
+        if captured is not None:
+            valid = valid & captured.get(seq, False)
         coeff = _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
                                   amplitude)[0]
         if not np.any(coeff):
@@ -218,22 +225,24 @@ def _accumulate_leg_spectrum(table: ImagePathTable, point: np.ndarray,
     return acc
 
 
-def _sbr_leg_spectrum(point: np.ndarray, orientation: np.ndarray,
-                      antennas: np.ndarray, scene: Scene, cfg: SbrConfig,
-                      copol: np.ndarray, kvals: np.ndarray,
-                      amplitude: AmplitudeMode) -> np.ndarray:
-    acc = np.zeros((antennas.shape[0], kvals.size), dtype=np.complex128)
-    per_antenna = sbr_trace(point, antennas, scene, cfg)
-    for ai, paths in enumerate(per_antenna):
-        for p in paths:
-            a, tnorm = _leg_copol_amplitude(p, copol, orientation)
-            coeff = _leg_coefficients(
-                p.order, np.array(a), np.array(tnorm), np.array(True),
-                np.array(p.total_length), amplitude)[()]
-            if coeff == 0.0:
-                continue
-            acc[ai] += coeff * _unit_phasor(-p.total_length * kvals)
-    return acc
+def _path_setup(path_engine: str, max_order: int, sbr: Optional[SbrConfig]):
+    """SBR configuration (None for the images engine) and table order."""
+    if path_engine == "images":
+        return None, max_order
+    if path_engine == "sbr":
+        cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
+        return cfg, cfg.max_bounces
+    raise ValueError(f"unknown path engine {path_engine!r}")
+
+
+def _sbr_capture(cfg: Optional[SbrConfig], index: int, point: np.ndarray,
+                 table: ImagePathTable):
+    """Capture masks of SBR launch `index` from `point`; None without SBR."""
+    if cfg is None:
+        return None
+    seeded = replace(cfg, rng_seed=cfg.rng_seed + index)
+    return capture_masks([sbr_trace(point, table.antennas, table.scene,
+                                    seeded)])
 
 
 def synthesize_radiation_data(sources: Sequence[DipoleSource],
@@ -246,23 +255,15 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
     """Multipath radiation data T[rx, k] for a set of dipole sources."""
     if not sources:
         raise EmptyInput("no sources")
+    cfg, order = _path_setup(path_engine, max_order, sbr)
     kvals = sweep.k_values
     rx = arrays.rx_positions
     samples = np.zeros((1, rx.shape[0], kvals.size), dtype=np.complex128)
-    if path_engine == "images":
-        table = ImagePathTable(scene, rx, max_order, arrays.copol)
-        for i, src in enumerate(sources):
-            samples[0] += src.amplitude * _accumulate_leg_spectrum(
-                table, src.position, src.orientation, kvals, amplitude)
-    elif path_engine == "sbr":
-        cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
-        for i, src in enumerate(sources):
-            src_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
-            samples[0] += src.amplitude * _sbr_leg_spectrum(
-                src.position, src.orientation, rx, scene, src_cfg,
-                arrays.copol, kvals, amplitude)
-    else:
-        raise ValueError(f"unknown path engine {path_engine!r}")
+    table = ImagePathTable(scene, rx, order, arrays.copol)
+    for i, src in enumerate(sources):
+        samples[0] += src.amplitude * _accumulate_leg_spectrum(
+            table, src.position, src.orientation, kvals, amplitude,
+            _sbr_capture(cfg, i, src.position, table))
     return MeasurementSet(tx_positions=np.zeros((1, 3)), rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="radiation")
@@ -283,6 +284,7 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     """
     if not targets:
         raise EmptyInput("no targets")
+    cfg, order = _path_setup(path_engine, max_order, sbr)
     kvals = sweep.k_values
     tx = arrays.tx_positions
     rx = arrays.rx_positions
@@ -290,26 +292,14 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
         raise EmptyInput("empty antenna array")
     samples = np.zeros((tx.shape[0], rx.shape[0], kvals.size),
                        dtype=np.complex128)
-    if path_engine == "images":
-        tx_table = ImagePathTable(scene, tx, max_order, arrays.copol)
-        rx_table = ImagePathTable(scene, rx, max_order, arrays.copol)
-        for tgt in targets:
-            at = _accumulate_leg_spectrum(tx_table, tgt.position,
-                                          arrays.copol, kvals, amplitude)
-            ar = _accumulate_leg_spectrum(rx_table, tgt.position,
-                                          arrays.copol, kvals, amplitude)
-            samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
-    elif path_engine == "sbr":
-        cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
-        for i, tgt in enumerate(targets):
-            tgt_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
-            at = _sbr_leg_spectrum(tgt.position, arrays.copol, tx, scene,
-                                   tgt_cfg, arrays.copol, kvals, amplitude)
-            ar = _sbr_leg_spectrum(tgt.position, arrays.copol, rx, scene,
-                                   tgt_cfg, arrays.copol, kvals, amplitude)
-            samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
-    else:
-        raise ValueError(f"unknown path engine {path_engine!r}")
+    tx_table = ImagePathTable(scene, tx, order, arrays.copol)
+    rx_table = ImagePathTable(scene, rx, order, arrays.copol)
+    for i, tgt in enumerate(targets):
+        at, ar = (_accumulate_leg_spectrum(
+            table, tgt.position, arrays.copol, kvals, amplitude,
+            _sbr_capture(cfg, i, tgt.position, table))
+            for table in (tx_table, rx_table))
+        samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
     return MeasurementSet(tx_positions=tx, rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="scattering")

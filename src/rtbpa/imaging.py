@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
 from .fields import (AntennaArray, FrequencySweep, MeasurementSet,
-                     PointScatterer, _unit_phasor, synthesize_scattering_data)
+                     PointScatterer, _path_setup, _unit_phasor,
+                     synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
-from .propagation import (ImagePathTable, SbrConfig, attach_polarization,
-                          sbr_trace)
+from .propagation import ImagePathTable, SbrConfig, capture_masks, sbr_trace
 
 _CHUNK = 128  # voxels per task; fixed so results do not depend on worker count
 
@@ -233,40 +233,26 @@ def _set_job(job: dict) -> None:
 
 
 def _table_legs(table: ImagePathTable, points: np.ndarray,
-                apply_half_wave: bool) -> List[Tuple[np.ndarray, np.ndarray]]:
+                apply_half_wave: bool,
+                captured=None) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(lengths, weights) per sequence class; with `captured` (the
+    `capture_masks` of per-point SBR launches) only captured legs count."""
     legs = []
     for seq, lengths, amp, tnorm, valid in table.eval(points):
+        if captured is not None:
+            valid = valid & captured.get(seq, False)
         legs.append((lengths, _leg_weights(len(seq), amp, tnorm, valid,
                                            apply_half_wave)))
     return legs
 
 
-def _sbr_point_legs(point: np.ndarray, flat_index: int, antennas: np.ndarray,
-                    scene: Scene, cfg: SbrConfig, copol: np.ndarray,
-                    apply_half_wave: bool) -> List[List[Tuple[float, float]]]:
-    """Per-antenna (length, weight) lists from a per-voxel SBR launch."""
-    seeded = replace(cfg, rng_seed=cfg.rng_seed + flat_index)
-    per_antenna = sbr_trace(point, antennas, scene, seeded)
-    out = []
-    for paths in per_antenna:
-        kept = attach_polarization(paths, copol)
-        if apply_half_wave:
-            out.append([(p.total_length, float(p.pol_sign)) for p in kept])
-        else:
-            out.append([(p.total_length, 1.0) for p in kept])
-    return out
-
-
-def _ragged_to_legs(per_antenna: List[List[Tuple[float, float]]],
-                    v_index: int, n_v: int, n_ant: int,
-                    legs: List[Tuple[np.ndarray, np.ndarray]]) -> None:
-    """Scatter ragged per-antenna paths into dense per-class leg arrays."""
-    for ai, lst in enumerate(per_antenna):
-        for ci, (length, w) in enumerate(lst):
-            while len(legs) <= ci:
-                legs.append((np.zeros((n_v, n_ant)), np.zeros((n_v, n_ant))))
-            legs[ci][0][v_index, ai] = length
-            legs[ci][1][v_index, ai] = w
+def _sbr_captures(table: ImagePathTable, points: np.ndarray, lo: int,
+                  cfg: SbrConfig):
+    """Capture masks of one SBR launch per voxel, seeded by its flat index."""
+    return capture_masks([
+        sbr_trace(p, table.antennas, table.scene,
+                  replace(cfg, rng_seed=cfg.rng_seed + lo + vi))
+        for vi, p in enumerate(points)])
 
 
 def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
@@ -274,36 +260,20 @@ def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
     job = _JOB
     grid: ImageGrid = job["grid"]
     points = grid.centers_block(lo, hi)
-    n_v = points.shape[0]
     kvals = job["kvals"]
     samples = job["samples"]
-    mode = job["mode"]
-    engine = job["engine"]
-    if engine == "images":
-        rx_legs = _table_legs(job["rx_table"], points, job["half_wave"])
-        if mode == "radiation":
-            return _sum_radiation(samples[0], kvals, rx_legs)
-        tx_legs = _table_legs(job["tx_table"], points, job["half_wave"])
-        return _sum_scattering(samples, kvals, tx_legs, rx_legs, n_v)
-    # SBR engine: per-voxel ray launches, ragged path lists
-    scene: Scene = job["scene"]
-    cfg: SbrConfig = job["sbr"]
-    copol = job["copol"]
-    rx_ants = job["rx_positions"]
-    rx_legs = []
-    tx_legs = []
-    tx_ants = job.get("tx_positions")
-    for vi in range(n_v):
-        per_rx = _sbr_point_legs(points[vi], lo + vi, rx_ants, scene, cfg,
-                                 copol, job["half_wave"])
-        _ragged_to_legs(per_rx, vi, n_v, rx_ants.shape[0], rx_legs)
-        if mode == "scattering":
-            per_tx = _sbr_point_legs(points[vi], lo + vi, tx_ants, scene, cfg,
-                                     copol, job["half_wave"])
-            _ragged_to_legs(per_tx, vi, n_v, tx_ants.shape[0], tx_legs)
-    if mode == "radiation":
+    sbr: Optional[SbrConfig] = job["sbr"]
+
+    def legs(table: ImagePathTable):
+        captured = (None if sbr is None
+                    else _sbr_captures(table, points, lo, sbr))
+        return _table_legs(table, points, job["half_wave"], captured)
+
+    rx_legs = legs(job["rx_table"])
+    if job["mode"] == "radiation":
         return _sum_radiation(samples[0], kvals, rx_legs)
-    return _sum_scattering(samples, kvals, tx_legs, rx_legs, n_v)
+    tx_legs = legs(job["tx_table"])
+    return _sum_scattering(samples, kvals, tx_legs, rx_legs, points.shape[0])
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -313,10 +283,11 @@ def _resolve_workers(workers: Optional[int]) -> int:
 
 
 def _run_job(job: dict, n_voxels: int, workers: Optional[int]) -> np.ndarray:
-    workers = _resolve_workers(workers)
     ranges = [(lo, min(lo + _CHUNK, n_voxels))
               for lo in range(0, n_voxels, _CHUNK)]
-    if workers == 1 or len(ranges) == 1:
+    # More processes than CPUs or chunks only add start-up cost.
+    workers = min(_resolve_workers(workers), os.cpu_count() or 1, len(ranges))
+    if workers == 1:
         _set_job(job)
         try:
             parts = [_compute_chunk(r) for r in ranges]
@@ -350,7 +321,7 @@ def naive_bpa(data: MeasurementSet, grid: ImageGrid,
         "kvals": data.sweep.k_values,
         "samples": data.samples,
         "mode": data.mode,
-        "engine": "images",
+        "sbr": None,
         "half_wave": True,
         "rx_table": ImagePathTable(empty, data.rx_positions, 0, data.copol),
     }
@@ -359,12 +330,6 @@ def naive_bpa(data: MeasurementSet, grid: ImageGrid,
                                          data.copol)
     values = _run_job(job, grid.n_voxels, workers)
     return grid.with_values(values)
-
-
-def build_path_table(scene: Scene, antennas, max_order: int,
-                     copol) -> ImagePathTable:
-    """Precompute the image-method path table reused across voxels and runs."""
-    return ImagePathTable(scene, antennas, max_order, copol)
 
 
 def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
@@ -382,28 +347,20 @@ def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
         raise EmptyInput("grid holds no voxels")
     mode = cfg.mode or data.mode
     copol = unit(cfg.copol) if cfg.copol is not None else data.copol
+    sbr, order = _path_setup(cfg.path_engine, cfg.max_order, cfg.sbr)
     job = {
         "grid": grid,
         "kvals": data.sweep.k_values,
         "samples": data.samples,
         "mode": mode,
-        "engine": cfg.path_engine,
+        "sbr": sbr,
         "half_wave": cfg.apply_half_wave,
+        "rx_table": rx_table if rx_table is not None else ImagePathTable(
+            scene, data.rx_positions, order, copol),
     }
-    if cfg.path_engine == "images":
-        job["rx_table"] = rx_table if rx_table is not None else ImagePathTable(
-            scene, data.rx_positions, cfg.max_order, copol)
-        if mode == "scattering":
-            job["tx_table"] = tx_table if tx_table is not None else \
-                ImagePathTable(scene, data.tx_positions, cfg.max_order, copol)
-    else:
-        job["scene"] = scene
-        job["sbr"] = cfg.sbr if cfg.sbr is not None else SbrConfig(
-            max_bounces=cfg.max_order)
-        job["copol"] = copol
-        job["rx_positions"] = data.rx_positions
-        if mode == "scattering":
-            job["tx_positions"] = data.tx_positions
+    if mode == "scattering":
+        job["tx_table"] = tx_table if tx_table is not None else \
+            ImagePathTable(scene, data.tx_positions, order, copol)
     values = _run_job(job, grid.n_voxels, workers)
     return grid.with_values(values)
 

@@ -26,6 +26,7 @@ mapping -40..0 dB to 0..255.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -75,6 +76,18 @@ def _check_magic(fh, expect_kind: int, path) -> None:
                             f"expected {expect_kind}")
 
 
+def _check_size(fh, path, payload: int) -> None:
+    """Reject a file whose size differs from what its header implies, before
+    any header-sized read allocates."""
+    expected = fh.tell() + payload
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        problem = ("truncated container" if size < expected
+                   else "trailing bytes")
+        raise ScenarioError(f"{path}: {problem}: the header implies "
+                            f"{expected} bytes, the file holds {size}")
+
+
 def read_measurements(path) -> MeasurementSet:
     with open(path, "rb") as fh:
         _check_magic(fh, KIND_MEASUREMENT, path)
@@ -83,6 +96,8 @@ def read_measurements(path) -> MeasurementSet:
         f_start, f_stop, step = struct.unpack("<ddd",
                                               _read_exact(fh, 24, "sweep"))
         copol = np.frombuffer(_read_exact(fh, 24, "copol"), "<f8").copy()
+        _check_size(fh, path, 24 * n_tx + 24 * n_rx + 8 * n_k
+                    + 8 * n_tx * n_rx * n_k)
         tx = np.frombuffer(_read_exact(fh, 24 * n_tx, "tx positions"),
                            "<f8").reshape(n_tx, 3).copy()
         rx = np.frombuffer(_read_exact(fh, 24 * n_rx, "rx positions"),
@@ -91,8 +106,6 @@ def read_measurements(path) -> MeasurementSet:
         samples = np.frombuffer(
             _read_exact(fh, 8 * n_tx * n_rx * n_k, "samples"),
             "<c8").reshape(n_tx, n_rx, n_k).astype(np.complex128)
-        if fh.read(1):
-            raise ScenarioError(f"{path}: trailing bytes after samples")
     sweep = FrequencySweep(f_start=f_start, f_stop=f_stop, step=step)
     if sweep.count != n_k:
         raise ScenarioError(f"{path}: sweep count {sweep.count} does not "
@@ -122,10 +135,9 @@ def read_image(path) -> ImageGrid:
                              "<f8").reshape(3, 3).copy()
         spacing = np.frombuffer(_read_exact(fh, 24, "spacing"), "<f8").copy()
         n = dims[0] * dims[1] * dims[2]
+        _check_size(fh, path, 8 * n)
         values = np.frombuffer(_read_exact(fh, 8 * n, "values"),
                                "<c8").reshape(dims).astype(np.complex128)
-        if fh.read(1):
-            raise ScenarioError(f"{path}: trailing bytes after values")
     return ImageGrid(origin=origin, axes=axes, spacing=spacing, dims=dims,
                      values=values)
 

@@ -1,21 +1,23 @@
 """Geometrical-optics propagation paths between image-domain points and antennas.
 
-Two engines produce the same path sets on all-planar scenes: the exact image
-method (mirror the antenna through every admissible reflector sequence) and a
-stochastic shooting-and-bouncing-rays tracer. Each path carries the surface
-interaction sequence, an order-sensitive 64-bit hash, and the co-polarized
-sign obtained by transporting the field with the PEC reflection dyadic.
+Two engines find the same reflector sequences on all-planar scenes: the exact
+image method enumerates every admissible sequence, and a stochastic
+shooting-and-bouncing-rays tracer keeps the sequences its rays carry to each
+antenna. Either way the exact specular path of a sequence is computed by the
+image method: one path at a time by `_trace_sequence`, or for whole voxel
+blocks by `ImagePathTable`, which is also the only place that transports the
+polarization through the PEC bounces.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import CrossPolarized, NonPlanarReflector
+from .errors import NonPlanarReflector
 from .geometry import (EDGE_MARGIN, EPS_SELF, Scene, as_vec3,
                        mirror_point, mirror_points, rays_nearest_hit,
                        segments_blocked, unit)
@@ -37,13 +39,6 @@ def path_hash(interaction_sequence: Sequence[int]) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def combined_wavefront_hash(tx_sequence: Sequence[int],
-                            rx_sequence: Sequence[int]) -> int:
-    """Hash of a full Tx->point->Rx wavefront: tx legs, separator, reversed rx."""
-    seq = tuple(tx_sequence) + (-1,) + tuple(reversed(tuple(rx_sequence)))
-    return path_hash(seq)
-
-
 @dataclass(frozen=True, eq=False)
 class PropagationPath:
     """One GO leg between an image-domain point and an antenna."""
@@ -51,10 +46,8 @@ class PropagationPath:
     endpoint_a: np.ndarray  # image-domain point
     endpoint_b: np.ndarray  # antenna position
     vertices: np.ndarray  # (m, 3) bounce points, possibly empty
-    bounce_normals: np.ndarray  # (m, 3) unit normals at the bounces
     interaction_sequence: Tuple[int, ...]
     total_length: float
-    pol_sign: int = 1
     hash: int = 0
 
     @property
@@ -65,31 +58,13 @@ class PropagationPath:
         """Full polyline a -> bounces -> b, shape (m+2, 3)."""
         return np.vstack([self.endpoint_a, self.vertices, self.endpoint_b])
 
-    def segment_directions(self) -> np.ndarray:
-        pts = self.points()
-        seg = np.diff(pts, axis=0)
-        return seg / np.linalg.norm(seg, axis=1, keepdims=True)
 
-
-def _make_path(a, b, vertices, normals, seq, total_length, pol_sign=1) -> PropagationPath:
+def _make_path(a, b, vertices, seq, total_length) -> PropagationPath:
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
     return PropagationPath(
         endpoint_a=as_vec3(a), endpoint_b=as_vec3(b), vertices=vertices,
-        bounce_normals=normals, interaction_sequence=tuple(int(s) for s in seq),
-        total_length=float(total_length), pol_sign=int(pol_sign),
-        hash=path_hash(seq))
-
-
-@dataclass(frozen=True)
-class WavefrontPair:
-    """A (tx leg, rx leg) wavefront with its polarization parity."""
-
-    tx_leg: PropagationPath
-    rx_leg: PropagationPath
-    combined_hash: int
-    delta: int  # 0 or 1; pi-phase term applied when 1
-    phase_length: float
+        interaction_sequence=tuple(int(s) for s in seq),
+        total_length=float(total_length), hash=path_hash(seq))
 
 
 @dataclass
@@ -98,7 +73,6 @@ class SbrConfig:
     max_bounces: int = 2
     capture_radius: float = 0.05
     rng_seed: int = 0
-    refine: bool = True
 
     def __post_init__(self):
         if self.ray_count < 1:
@@ -107,93 +81,6 @@ class SbrConfig:
             raise ValueError("max_bounces must be >= 0")
         if self.capture_radius <= 0:
             raise ValueError("capture_radius must be > 0")
-
-
-def pec_reflect_field(e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """PEC boundary dyadic: tangential component negated, normal preserved."""
-    e = np.asarray(e, dtype=float)
-    n = as_vec3(n)
-    return 2.0 * (e @ n)[..., None] * n - e
-
-
-def transport_polarization(e0, path: PropagationPath, copol) -> tuple[np.ndarray, int]:
-    """Transport a real unit field vector along a path through its PEC bounces.
-
-    Returns the final unit vector and the sign of its projection onto `copol`.
-    Raises CrossPolarized when the projection magnitude falls below threshold.
-    """
-    e0 = as_vec3(e0)
-    copol = unit(copol)
-    if abs(np.linalg.norm(e0) - 1.0) > 1e-9:
-        raise ValueError("e0 must be unit-norm")
-    dirs = path.segment_directions()
-    if abs(float(np.dot(e0, dirs[0]))) > 1e-9:
-        raise ValueError("e0 must be orthogonal to the first segment direction")
-    e = e0
-    for n in path.bounce_normals:
-        e = pec_reflect_field(e, n)
-    proj = float(np.dot(e, copol))
-    if abs(proj) < CROSS_POL_THRESHOLD:
-        raise CrossPolarized(f"|projection| = {abs(proj):.3e}")
-    return e, (1 if proj >= 0.0 else -1)
-
-
-def _leg_copol_amplitude(path: PropagationPath, copol: np.ndarray,
-                         orientation: np.ndarray) -> tuple[float, float]:
-    """Signed co-pol amplitude of a leg and the launch transverse magnitude.
-
-    The launch field is the transverse part of `orientation` at the first
-    segment; the returned amplitude is its projection onto `copol` after PEC
-    transport (unnormalized, so it carries the sin(theta) launch pattern).
-    """
-    s = path.segment_directions()[0]
-    e = orientation - float(np.dot(orientation, s)) * s
-    tnorm = float(np.linalg.norm(e))
-    for n in path.bounce_normals:
-        e = pec_reflect_field(e, n)
-    return float(np.dot(e, copol)), tnorm
-
-
-def attach_polarization(paths: Iterable[PropagationPath], copol,
-                        orientation=None) -> List[PropagationPath]:
-    """Set pol_sign on each path; drop cross-polarized bounced legs.
-
-    Zero-bounce legs are always kept with sign +1 when `orientation` is the
-    co-pol vector itself, which keeps the free-space degeneracy with the naive
-    back-projection exact.
-    """
-    copol = unit(copol)
-    orientation = copol if orientation is None else unit(orientation)
-    out: List[PropagationPath] = []
-    for p in paths:
-        amp, tnorm = _leg_copol_amplitude(p, copol, orientation)
-        if p.order == 0:
-            out.append(replace(p, pol_sign=1 if amp >= 0.0 else -1))
-            continue
-        if tnorm < 1e-12 or abs(amp) < CROSS_POL_THRESHOLD * tnorm:
-            continue
-        out.append(replace(p, pol_sign=1 if amp >= 0.0 else -1))
-    return out
-
-
-def pair_wavefronts(tx_paths: Sequence[PropagationPath],
-                    rx_paths: Sequence[PropagationPath],
-                    copol) -> List[WavefrontPair]:
-    """Cartesian product of tx and rx legs with polarization parity."""
-    copol = unit(copol)
-    tx = attach_polarization(tx_paths, copol)
-    rx = attach_polarization(rx_paths, copol)
-    pairs = []
-    for p in tx:
-        for q in rx:
-            sign = p.pol_sign * q.pol_sign
-            pairs.append(WavefrontPair(
-                tx_leg=p, rx_leg=q,
-                combined_hash=combined_wavefront_hash(
-                    p.interaction_sequence, q.interaction_sequence),
-                delta=0 if sign > 0 else 1,
-                phase_length=p.total_length + q.total_length))
-    return pairs
 
 
 def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
@@ -235,13 +122,12 @@ def _trace_sequence(point: np.ndarray, antenna: np.ndarray,
     if not seq:
         if segments_blocked(point, antenna, scene):
             return None
-        return _make_path(point, antenna, np.empty((0, 3)), np.empty((0, 3)),
-                          (), float(np.linalg.norm(antenna - point)))
+        return _make_path(point, antenna, np.empty((0, 3)), (),
+                          float(np.linalg.norm(antenna - point)))
     images = _image_chain(antenna, seq, scene)
     total = float(np.linalg.norm(images[0] - point))
     cur = point
     verts = []
-    normals = []
     prev_id: Optional[int] = None
     for j, fid in enumerate(seq):
         facet = scene.by_id[fid]
@@ -262,13 +148,22 @@ def _trace_sequence(point: np.ndarray, antenna: np.ndarray,
         if segments_blocked(cur, q, scene, ignore=ignore):
             return None
         verts.append(q)
-        normals.append(n)
         cur = q
         prev_id = fid
     if segments_blocked(cur, antenna, scene, ignore={seq[-1]}):
         return None
-    return _make_path(point, antenna, np.array(verts), np.array(normals),
-                      seq, total)
+    return _make_path(point, antenna, np.array(verts), seq, total)
+
+
+def _exact_paths(point, antenna, sequences: Iterable[Tuple[int, ...]],
+                 scene: Scene) -> List[PropagationPath]:
+    """Valid exact paths of the given sequences, sorted by (length, hash)."""
+    point = as_vec3(point)
+    antenna = as_vec3(antenna)
+    paths = [p for p in (_trace_sequence(point, antenna, seq, scene)
+                         for seq in sequences) if p is not None]
+    paths.sort(key=lambda p: (p.total_length, p.hash))
+    return paths
 
 
 def find_paths_images(point, antenna, scene: Scene,
@@ -276,15 +171,8 @@ def find_paths_images(point, antenna, scene: Scene,
     """All specular paths up to max_order via the exact image method."""
     if max_order > 5:
         raise ValueError("max_order must be <= 5")
-    point = as_vec3(point)
-    antenna = as_vec3(antenna)
-    paths = []
-    for seq in enumerate_sequences(scene, max_order):
-        p = _trace_sequence(point, antenna, seq, scene)
-        if p is not None:
-            paths.append(p)
-    paths.sort(key=lambda p: (p.total_length, p.hash))
-    return paths
+    return _exact_paths(point, antenna, enumerate_sequences(scene, max_order),
+                        scene)
 
 
 def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -293,26 +181,23 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sbr_trace(point, antennas, scene: Scene,
-              cfg: SbrConfig) -> List[List[PropagationPath]]:
-    """Shoot cfg.ray_count rays from `point`; collect captured paths per antenna.
+              cfg: SbrConfig) -> List[Set[Tuple[int, ...]]]:
+    """Shoot cfg.ray_count rays from `point`; return, per antenna, the set of
+    interaction sequences its rays captured.
 
     A ray is captured by an antenna when its current free segment passes within
-    cfg.capture_radius of it. Captures are deduplicated per antenna by the
-    interaction-sequence hash; with cfg.refine each surviving sequence is
-    replaced by its exact image-method path (and dropped if invalid).
+    cfg.capture_radius of it. A captured sequence is only a candidate: the
+    exact path of each one (and whether it exists) comes from the image method.
     """
     point = as_vec3(point)
     antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
-    n_ant = antennas.shape[0]
     rng = np.random.default_rng(cfg.rng_seed)
     n = cfg.ray_count
     dirs = _uniform_sphere(rng, n)
     origins = np.broadcast_to(point, (n, 3)).copy()
     alive = np.ones(n, dtype=bool)
     seqs = np.full((n, cfg.max_bounces), -1, dtype=np.int64)
-    length_so_far = np.zeros(n)
-    # per antenna: hash -> (approx_length, sequence, last_vertex)
-    captured: List[dict] = [dict() for _ in range(n_ant)]
+    captured: List[Set[Tuple[int, ...]]] = [set() for _ in antennas]
     facet_ids = np.array([f.id for f in scene.all_facets], dtype=np.int64)
     facet_normals = (np.array([f.normal for f in scene.all_facets])
                      if scene.all_facets else np.empty((0, 3)))
@@ -324,23 +209,13 @@ def sbr_trace(point, antennas, scene: Scene,
         o = origins[idx]
         d = dirs[idx]
         t_hit, hit_fi = rays_nearest_hit(o, d, scene)
-        for ai in range(n_ant):
-            rel = antennas[ai] - o
-            tc = np.einsum("ij,ij->i", rel, d)
+        for ai, antenna in enumerate(antennas):
+            tc = np.einsum("ij,ij->i", antenna - o, d)
             tc = np.clip(tc, 0.0, np.where(np.isfinite(t_hit), t_hit, np.inf))
             closest = o + tc[:, None] * d
-            d2 = np.einsum("ij,ij->i", closest - antennas[ai],
-                           closest - antennas[ai])
-            hits = np.flatnonzero(d2 <= cfg.capture_radius ** 2)
-            for h in hits:
-                ray = idx[h]
-                seq = tuple(int(s) for s in seqs[ray, :bounce])
-                key = path_hash(seq)
-                approx = length_so_far[ray] + float(
-                    np.linalg.norm(antennas[ai] - origins[ray]))
-                prev = captured[ai].get(key)
-                if prev is None or approx < prev[0]:
-                    captured[ai][key] = (approx, seq, origins[ray].copy())
+            d2 = np.einsum("ij,ij->i", closest - antenna, closest - antenna)
+            hits = idx[d2 <= cfg.capture_radius ** 2]
+            captured[ai].update(map(tuple, seqs[hits, :bounce].tolist()))
         if bounce == cfg.max_bounces:
             break
         hit_ok = np.isfinite(t_hit)
@@ -355,49 +230,37 @@ def sbr_trace(point, antennas, scene: Scene,
             break
         rays = idx[keep]
         nrm = facet_normals[hit_fi[keep]]
-        newo = o[keep] + t_hit[keep, None] * d[keep]
         dn = np.einsum("ij,ij->i", d[keep], nrm)
         dirs[rays] = d[keep] - 2.0 * dn[:, None] * nrm
-        length_so_far[rays] += t_hit[keep]
-        origins[rays] = newo
+        origins[rays] = o[keep] + t_hit[keep, None] * d[keep]
         seqs[rays, bounce] = facet_ids[hit_fi[keep]]
+    return captured
 
-    out: List[List[PropagationPath]] = []
-    for ai in range(n_ant):
-        ant = antennas[ai]
-        paths = []
-        for key, (approx, seq, last_vertex) in captured[ai].items():
-            if cfg.refine:
-                exact = _trace_sequence(point, ant, seq, scene)
-                if exact is not None:
-                    paths.append(exact)
-                continue
-            # Unrefined: keep the sampled geometry, final leg straight to the
-            # antenna, re-checked for occlusion.
-            ignore = {seq[-1]} if seq else set()
-            if np.linalg.norm(ant - last_vertex) > EPS_SELF and segments_blocked(
-                    last_vertex, ant, scene, ignore=ignore):
-                continue
-            approx_path = _trace_sequence(point, ant, seq, scene)
-            if seq and approx_path is None:
-                # Sequence exists only within capture slop; keep sampled length.
-                paths.append(_make_path(point, ant, np.empty((0, 3)),
-                                        np.empty((0, 3)), seq, approx))
-            elif not seq:
-                paths.append(_make_path(point, ant, np.empty((0, 3)),
-                                        np.empty((0, 3)), (),
-                                        float(np.linalg.norm(ant - point))))
-            else:
-                paths.append(replace(approx_path, total_length=approx))
-        paths.sort(key=lambda p: (p.total_length, p.hash))
-        out.append(paths)
-    return out
+
+def capture_masks(captures: Sequence[Sequence[Set[Tuple[int, ...]]]]
+                  ) -> Dict[Tuple[int, ...], np.ndarray]:
+    """(points, antennas) boolean mask per captured sequence.
+
+    `captures[v]` is the `sbr_trace` result of point v. A sequence missing
+    from the result was captured nowhere.
+    """
+    shape = (len(captures), len(captures[0]))
+    masks: Dict[Tuple[int, ...], np.ndarray] = {}
+    for v, per_antenna in enumerate(captures):
+        for a, seqs in enumerate(per_antenna):
+            for seq in seqs:
+                if seq not in masks:
+                    masks[seq] = np.zeros(shape, dtype=bool)
+                masks[seq][v, a] = True
+    return masks
 
 
 def find_paths_sbr(point, antenna, scene: Scene,
                    cfg: SbrConfig) -> List[PropagationPath]:
-    """SBR path search between one point and one antenna."""
-    return sbr_trace(point, [as_vec3(antenna)], scene, cfg)[0]
+    """SBR path search between one point and one antenna: the exact paths of
+    the captured sequences."""
+    captured = sbr_trace(point, [as_vec3(antenna)], scene, cfg)[0]
+    return _exact_paths(point, antenna, captured, scene)
 
 
 class ImagePathTable:
@@ -405,7 +268,9 @@ class ImagePathTable:
 
     For every admissible reflector sequence the antenna mirror images and the
     composite PEC field dyadic are frequency- and voxel-independent, so they
-    are built once and evaluated for whole voxel blocks at a time.
+    are built once and evaluated for whole voxel blocks at a time. Both path
+    engines evaluate their legs here; the SBR engine then keeps only the
+    legs whose sequence its rays captured.
     """
 
     def __init__(self, scene: Scene, antennas, max_order: int, copol):
@@ -414,16 +279,14 @@ class ImagePathTable:
         self.copol = unit(copol)
         self.max_order = int(max_order)
         self.sequences = enumerate_sequences(scene, self.max_order)
-        self._dot_cache: dict = {}
         self._entries = []
         for seq in self.sequences:
-            chains = []  # images[j] per bounce, each (A, 3)
             pts = self.antennas
             rev = []
             for fid in reversed(seq):
                 pts = mirror_points(pts, scene.by_id[fid])
                 rev.append(pts)
-            chains = rev[::-1]  # chains[0] = deepest image
+            chains = rev[::-1]  # images[j] per bounce, (A, 3); [0] deepest
             m = np.eye(3)
             for fid in seq:
                 n = scene.by_id[fid].normal
@@ -431,18 +294,9 @@ class ImagePathTable:
             self._entries.append({
                 "seq": seq,
                 "images": chains,
-                "field_matrix": m,
                 "w": m.T @ self.copol,
                 "facets": [scene.by_id[fid] for fid in seq],
             })
-
-    def _adot(self, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        key = (id(base), id(vec))
-        out = self._dot_cache.get(key)
-        if out is None:
-            out = base @ vec
-            self._dot_cache[key] = out
-        return out
 
     def eval(self, points: np.ndarray, orientation=None):
         """Yield (seq, lengths, amp, tnorm, valid) per sequence for a point block.
@@ -460,20 +314,22 @@ class ImagePathTable:
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         ori = self.copol if orientation is None else unit(orientation)
         ants = self.antennas
-        pcache: dict = {}
+        # Keyed by object identity, so it must not outlive this call: `ori`
+        # is a fresh array on every call.
+        cache: dict = {}
 
-        def pdot(vec: np.ndarray) -> np.ndarray:
-            out = pcache.get(id(vec))
+        def dot(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+            key = (id(base), id(vec))
+            out = cache.get(key)
             if out is None:
-                out = points @ vec
-                pcache[id(vec)] = out
+                out = cache[key] = base @ vec
             return out
 
         def term_dot(terms, vec):
             acc = None
             for coeff, base, axis in terms:
-                d = (pdot(vec)[:, None] if axis == 0
-                     else self._adot(base, vec)[None, :])
+                d = dot(base, vec)
+                d = d[:, None] if axis == 0 else d[None, :]
                 x = d if coeff is None else coeff * d
                 acc = x if acc is None else acc + x
             return acc
@@ -526,7 +382,7 @@ class ImagePathTable:
             return valid
 
         pp = np.einsum("vi,vi->v", points, points)
-        p_ori = pdot(ori)
+        p_ori = dot(points, ori)
         point_terms = [(None, points, 0)]
         ant_terms = [(None, ants, 1)]
         for entry in self._entries:
@@ -538,9 +394,9 @@ class ImagePathTable:
             np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
             valid = lengths > 1e-9
             safe = np.where(valid, lengths, 1.0)
-            os_dot = (self._adot(target0, ori)[None, :] - p_ori[:, None]) / safe
+            os_dot = (dot(target0, ori)[None, :] - p_ori[:, None]) / safe
             w = entry["w"]
-            s_w = (self._adot(target0, w)[None, :] - pdot(w)[:, None]) / safe
+            s_w = (dot(target0, w)[None, :] - dot(points, w)[:, None]) / safe
             amp = float(ori @ w) - os_dot * s_w
             tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
             if not seq:
@@ -556,7 +412,7 @@ class ImagePathTable:
                 n = facet.normal
                 off = float(facet.point @ n)
                 sa = term_dot(cur_terms, n) - off
-                sb = self._adot(image_j, n)[None, :] - off
+                sb = dot(image_j, n)[None, :] - off
                 crossing = (sa * sb) < 0.0
                 valid &= crossing
                 if not valid.any():

@@ -1,13 +1,15 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from rtbpa import io as rio
 from rtbpa.cli import main
-from rtbpa.fields import AntennaArray, DipoleSource, FrequencySweep
+from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
+                          PointScatterer)
 from rtbpa.imaging import ImageGrid
 from rtbpa.scenes import Scenario, save_scenario
 from rtbpa.geometry import Scene
@@ -28,6 +30,25 @@ def free_space_file(tmp_path):
                             copol=(1, 0, 0)),
         sweep=FrequencySweep(18e9, 20e9, 100e6), grid=grid)
     path = tmp_path / "free_dipole.json"
+    save_scenario(scenario, path)
+    return path
+
+
+@pytest.fixture()
+def scattering_file(tmp_path):
+    """A small free-space scattering scenario saved to disk."""
+    tx = np.array([[0.0, 1.0, 0.7], [0.2, 1.0, 0.6]])
+    rx = np.array([[-0.2, 1.0, 0.8], [0.1, 1.1, 0.5], [0.3, 1.0, 0.9]])
+    grid = ImageGrid.planar(center=(0.0, 0.0, 0.7), axis_i=(1, 0, 0),
+                            axis_j=(0, 1, 0), spacing_ij=(0.05, 0.05),
+                            dims_ij=(5, 5))
+    scenario = Scenario(
+        name="free_target", scene=Scene([]), sources=[],
+        targets=[PointScatterer((0.0, 0.0, 0.7))],
+        arrays=AntennaArray(tx_positions=tx, rx_positions=rx,
+                            copol=(1, 0, 0)),
+        sweep=FrequencySweep(18e9, 18.5e9, 100e6), grid=grid)
+    path = tmp_path / "free_target.json"
     save_scenario(scenario, path)
     return path
 
@@ -170,3 +191,92 @@ def test_truncated_container_rejected(free_space_file, tmp_path):
     from rtbpa.errors import ScenarioError
     with pytest.raises(ScenarioError, match="truncated"):
         rio.read_measurements(clipped)
+
+
+def _saved_variant(scenario_file, out, **changes):
+    from rtbpa.scenes import load_scenario
+    s = load_scenario(scenario_file)
+    fields = dict(name=s.name, scene=s.scene, sources=s.sources,
+                  targets=s.targets, arrays=s.arrays, sweep=s.sweep,
+                  grid=s.grid)
+    fields.update(changes)
+    save_scenario(Scenario(**fields), out)
+    return out
+
+
+def test_tx_axis_mismatch_exits_3(scattering_file, tmp_path, capsys):
+    out = tmp_path / "fwd"
+    assert main(["forward", "--scenario", str(scattering_file),
+                 "--out", str(out)]) == 0
+    from rtbpa.scenes import load_scenario
+    arrays = load_scenario(scattering_file).arrays
+    moved = _saved_variant(scattering_file, tmp_path / "moved.json",
+                           arrays=AntennaArray(
+                               tx_positions=arrays.tx_positions + 0.05,
+                               rx_positions=arrays.rx_positions,
+                               copol=arrays.copol))
+    assert main(["reconstruct", "--scenario", str(moved),
+                 "--data", str(out / "measurements.rtbpa"),
+                 "--out", str(tmp_path / "r")]) == 3
+    assert "tx axis" in capsys.readouterr().err
+
+
+def test_mode_mismatch_exits_3(scattering_file, tmp_path, capsys):
+    # Same antennas, but the scenario radiates instead of scattering.
+    out = tmp_path / "fwd"
+    assert main(["forward", "--scenario", str(scattering_file),
+                 "--out", str(out)]) == 0
+    radiating = _saved_variant(
+        scattering_file, tmp_path / "radiating.json", targets=[],
+        sources=[DipoleSource((0.0, 0.0, 0.7), (1, 0, 0))])
+    assert main(["reconstruct", "--scenario", str(radiating),
+                 "--data", str(out / "measurements.rtbpa"),
+                 "--out", str(tmp_path / "r")]) == 3
+    assert "mode" in capsys.readouterr().err
+
+
+def test_oversized_header_exits_2(free_space_file, tmp_path, capsys):
+    # ~100 bytes whose header claims n_k = 2**31: rejected before any read
+    # of that size is attempted.
+    bogus = tmp_path / "bogus.rtbpa"
+    bogus.write_bytes(rio.MAGIC + struct.pack("<BB", rio.KIND_MEASUREMENT, 0)
+                      + struct.pack("<III", 1, 1, 2 ** 31)
+                      + struct.pack("<ddd", 18e9, 20e9, 1e8)
+                      + bytes(24 + 24 + 24))
+    assert len(bogus.read_bytes()) < 150
+    assert main(["reconstruct", "--scenario", str(free_space_file),
+                 "--data", str(bogus), "--out", str(tmp_path / "r")]) == 2
+    assert "header implies" in capsys.readouterr().err
+
+
+def test_oversized_image_header_exits_2(tmp_path, capsys):
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "image.rtbpa").write_bytes(
+            rio.MAGIC + struct.pack("<B", rio.KIND_IMAGE)
+            + struct.pack("<III", 2 ** 31, 1, 1) + bytes(24 + 72 + 24 + 8))
+    assert main(["compare", "--run-a", str(tmp_path / "a"),
+                 "--run-b", str(tmp_path / "b")]) == 2
+    assert "header implies" in capsys.readouterr().err
+
+
+def test_trailing_bytes_rejected(free_space_file, tmp_path):
+    out = tmp_path / "fwd"
+    main(["forward", "--scenario", str(free_space_file), "--out", str(out)])
+    padded = tmp_path / "pad.rtbpa"
+    padded.write_bytes((out / "measurements.rtbpa").read_bytes() + b"\0")
+    from rtbpa.errors import ScenarioError
+    with pytest.raises(ScenarioError, match="trailing bytes"):
+        rio.read_measurements(padded)
+
+
+def test_bad_workers_env_exits_2(free_space_file, tmp_path, monkeypatch,
+                                 capsys):
+    monkeypatch.setenv("RTBPA_WORKERS", "abc")
+    assert main(["forward", "--scenario", str(free_space_file),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RTBPA_WORKERS" in err
+    # An explicit flag does not consult the environment.
+    assert main(["forward", "--scenario", str(free_space_file),
+                 "--workers", "1", "--out", str(tmp_path / "o")]) == 0

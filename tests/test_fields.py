@@ -184,7 +184,6 @@ class TestSynthesizeRadiation:
         assert np.abs(np.angle(syn / ref)).max() < 1e-9
 
     def test_bounce_pol_sign_matches_image_dipole(self):
-        from rtbpa.propagation import attach_polarization, find_paths_images
         sc = Scene([GROUND])
         copol = np.array([1.0, 0.0, 0.0])
         src = DipoleSource((0.05, -0.1, 0.7), copol)
@@ -193,15 +192,17 @@ class TestSynthesizeRadiation:
         rng = np.random.default_rng(13)
         for _ in range(20):
             r = rng.uniform([-0.5, 0.8, 0.3], [0.5, 1.3, 1.2])
-            paths = find_paths_images(src.position, r, sc, 1)
-            bounce = attach_polarization(
-                [p for p in paths if p.order == 1], copol)[0]
+            table = ImagePathTable(sc, [r], 1, copol)
+            (_, length, amp, _, valid), = [
+                leg for leg in table.eval(src.position[None], copol)
+                if leg[0] == (1,)]
+            assert valid[0, 0]
             # Undo the propagation phase; the remaining co-pol amplitude of
             # the image-dipole field is real and carries the bounce sign.
             a_img = (dipole_field(r, img, kk, "far_field") @ copol
-                     * np.exp(1j * kk * bounce.total_length))
+                     * np.exp(1j * kk * length[0, 0]))
             assert abs(a_img.imag) < 1e-9 * abs(a_img)
-            assert np.sign(a_img.real) == bounce.pol_sign
+            assert np.sign(a_img.real) == np.sign(amp[0, 0])
 
     def test_sbr_engine_matches_images(self):
         from rtbpa.propagation import SbrConfig
@@ -214,6 +215,30 @@ class TestSynthesizeRadiation:
             sbr=SbrConfig(ray_count=300_000, max_bounces=1,
                           capture_radius=0.05, rng_seed=2))
         assert np.allclose(sbr.samples, ref.samples, atol=1e-9)
+
+    @pytest.mark.parametrize("engine", ["images", "sbr"])
+    def test_superposition_mixed_orientations(self, engine):
+        # Sources of different orientations: each keeps its own launch
+        # polarization, whatever the sources before it. SBR source i is
+        # launched with rng_seed + i, so the one-source runs shift the seed.
+        from dataclasses import replace
+
+        from rtbpa.propagation import SbrConfig
+        arrays = small_arrays()
+        sc = Scene([GROUND])
+        cfg = SbrConfig(ray_count=20_000, max_bounces=1, rng_seed=4)
+        rng = np.random.default_rng(21)
+        sources = [DipoleSource(rng.uniform([-0.2, -0.2, 0.5],
+                                            [0.2, 0.2, 0.9]),
+                                rng.normal(size=3), amplitude=1.0 - 0.5j * i)
+                   for i in range(8)]
+        both = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                         path_engine=engine, sbr=cfg)
+        parts = sum(synthesize_radiation_data(
+            [src], arrays, sc, SWEEP, path_engine=engine,
+            sbr=replace(cfg, rng_seed=cfg.rng_seed + i)).samples
+            for i, src in enumerate(sources))
+        assert np.allclose(both.samples, parts, atol=1e-12)
 
 
 def scattering_arrays():

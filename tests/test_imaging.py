@@ -12,10 +12,10 @@ from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
 from rtbpa.imaging import (ImageGrid, ReconstructionConfig,
-                           adjoint_pair_check, build_path_table,
-                           image_entropy, naive_bpa, peak_locations,
-                           psf_metrics, reconstruct_at_points, rt_bpa)
-from rtbpa.propagation import SbrConfig
+                           adjoint_pair_check, image_entropy, naive_bpa,
+                           peak_locations, psf_metrics, reconstruct_at_points,
+                           rt_bpa)
+from rtbpa.propagation import ImagePathTable, SbrConfig
 
 SWEEP = FrequencySweep(18e9, 20e9, 100e6)
 GROUND = Facet.plane(1, (0, 0, 0), (0, 0, 1))
@@ -122,13 +122,51 @@ class TestRtBpaDegeneracy:
         b = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=2)
         assert np.array_equal(a.values, b.values)
 
+    def test_pool_size_clamped(self, monkeypatch):
+        # The pool never gets more processes than CPUs or chunks. A recording
+        # stand-in for the pool context runs the chunks in this process.
+        import rtbpa.imaging as imaging
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                imaging._set_job({})
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(imaging.multiprocessing, "get_context",
+                            lambda *args: RecordingContext())
+        ms = radiation_data(Scene([GROUND]), n_rx=4)
+        grid = small_grid(n=18)  # 324 voxels: three chunks
+        cfg = ReconstructionConfig(max_order=1)
+        ref = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=1)
+        for cpus, want in ((2, 2), (64, 3)):
+            monkeypatch.setattr(imaging.os, "cpu_count", lambda: cpus)
+            out = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=10_000)
+            assert sizes[-1] == want
+            assert np.array_equal(out.values, ref.values)
+        monkeypatch.setattr(imaging.os, "cpu_count", lambda: 1)
+        rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=8)
+        assert len(sizes) == 2  # one CPU: serial, no pool
+
     def test_prebuilt_path_table_bit_identical(self):
         ms = radiation_data(Scene([GROUND]))
         grid = small_grid()
         sc = Scene([GROUND])
         cfg = ReconstructionConfig(max_order=1)
         fresh = rt_bpa(ms, grid, sc, cfg)
-        table = build_path_table(sc, ms.rx_positions, 1, ms.copol)
+        table = ImagePathTable(sc, ms.rx_positions, 1, ms.copol)
         cached1 = rt_bpa(ms, grid, sc, cfg, rx_table=table)
         cached2 = rt_bpa(ms, grid, sc, cfg, rx_table=table)
         assert np.array_equal(fresh.values, cached1.values)

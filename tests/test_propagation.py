@@ -3,17 +3,33 @@
 import numpy as np
 import pytest
 
-from rtbpa.errors import CrossPolarized, NonPlanarReflector
+from rtbpa.errors import NonPlanarReflector
+from rtbpa.fields import _leg_coefficients
 from rtbpa.geometry import Facet, Scene
-from rtbpa.propagation import (ImagePathTable, SbrConfig, attach_polarization,
-                               combined_wavefront_hash, enumerate_sequences,
-                               find_paths_images, find_paths_sbr,
-                               pair_wavefronts, path_hash,
-                               transport_polarization)
+from rtbpa.imaging import _table_legs
+from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
+                               find_paths_images, find_paths_sbr, path_hash,
+                               sbr_trace)
 
 
 def ground_scene():
     return Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1))])
+
+
+def table_legs(scene, point, antenna, max_order, copol, orientation=None):
+    """{sequence: (length, amp, tnorm)} of the valid legs point -> antenna."""
+    table = ImagePathTable(scene, [antenna], max_order, copol)
+    return {seq: (lengths[0, 0], amp[0, 0], tnorm[0, 0])
+            for seq, lengths, amp, tnorm, valid
+            in table.eval([point], orientation=orientation) if valid[0, 0]}
+
+
+def leg_weights(scene, point, antenna, max_order, copol):
+    """{sequence: (length, weight)} of the legs the reconstruction keeps."""
+    table = ImagePathTable(scene, [antenna], max_order, copol)
+    legs = _table_legs(table, np.array([point], dtype=float), True)
+    return {seq: (lengths[0, 0], w[0, 0])
+            for seq, (lengths, w) in zip(table.sequences, legs) if w[0, 0]}
 
 
 class TestPathHash:
@@ -36,76 +52,76 @@ class TestPathHash:
             else:
                 assert path_hash(seq) != path_hash(seq[::-1])
 
-    def test_combined_hash_depends_on_both_legs(self):
-        assert combined_wavefront_hash((1,), (2,)) != \
-            combined_wavefront_hash((2,), (1,))
-        assert combined_wavefront_hash((), (1, 2)) != \
-            combined_wavefront_hash((1, 2), ())
-
 
 class TestTransportPolarization:
+    """PEC polarization transport, as ImagePathTable evaluates it: `amp` is
+    the co-pol projection of the transported transverse launch field."""
+
     def test_s_pol_single_bounce_flips(self):
-        sc = ground_scene()
-        paths = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 1)
-        bounce = [p for p in paths if p.order == 1][0]
-        e0 = np.array([0.0, 1.0, 0.0])  # perpendicular to the y=0 bounce plane
-        e_final, sign = transport_polarization(e0, bounce, copol=(0, 1, 0))
-        assert np.allclose(e_final, -e0)
-        assert sign == -1
+        legs = table_legs(ground_scene(), (0, 0, 0.7), (0.8, 0, 0.7), 1,
+                          copol=(0, 1, 0))
+        # y is perpendicular to the y=0 bounce plane: the field flips.
+        _, amp, tnorm = legs[(1,)]
+        assert tnorm == pytest.approx(1.0, abs=1e-12)
+        assert amp == pytest.approx(-1.0, abs=1e-12)
 
     def test_los_identity(self):
-        sc = ground_scene()
-        los = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 0)[0]
-        e0 = np.array([0.0, 1.0, 0.0])
-        e_final, sign = transport_polarization(e0, los, copol=(0, 1, 0))
-        assert np.allclose(e_final, e0)
-        assert sign == 1
+        legs = table_legs(ground_scene(), (0, 0, 0.7), (0.8, 0, 0.7), 0,
+                          copol=(0, 1, 0))
+        assert legs[()][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_double_bounce_restores_sign(self):
         # Two bounces off parallel planes: the s-pol field flips twice.
         sc = Scene([Facet.plane(1, (-0.5, 0, 0), (1, 0, 0)),
                     Facet.plane(2, (0.5, 0, 0), (1, 0, 0))])
-        paths = find_paths_images((0, 0, 0.0), (0.2, 2.0, 0.0), sc, 2)
-        double = [p for p in paths if p.order == 2][0]
-        e0 = np.array([0.0, 0.0, 1.0])
-        e_final, sign = transport_polarization(e0, double, copol=(0, 0, 1))
-        assert sign == 1
-        assert abs(np.linalg.norm(e_final) - 1.0) < 1e-12
+        legs = table_legs(sc, (0, 0, 0.0), (0.2, 2.0, 0.0), 2,
+                          copol=(0, 0, 1))
+        double = [v for seq, v in legs.items() if len(seq) == 2]
+        assert double
+        for _, amp, _ in double:
+            assert amp == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved_random(self):
+        # The transported field has the launch field's norm: its squared
+        # projections on three orthonormal co-pol vectors sum to tnorm^2.
         rng = np.random.default_rng(1)
         sc = ground_scene()
+        checked = 0
         for _ in range(50):
             a = rng.uniform([-1, -1, 0.2], [1, 1, 1.5])
             b = rng.uniform([-1, -1, 0.2], [1, 1, 1.5])
-            paths = find_paths_images(a, b, sc, 1)
-            bounce = [p for p in paths if p.order == 1]
-            if not bounce:
+            ori = rng.normal(size=3)
+            per_axis = [table_legs(sc, a, b, 1, copol=c, orientation=ori)
+                        for c in np.eye(3)]
+            if (1,) not in per_axis[0]:
                 continue
-            d0 = bounce[0].segment_directions()[0]
-            e0 = np.cross(d0, rng.normal(size=3))
-            if np.linalg.norm(e0) < 1e-6:
-                continue
-            e0 /= np.linalg.norm(e0)
-            try:
-                e_final, _ = transport_polarization(e0, bounce[0],
-                                                    copol=(1, 0, 0))
-            except CrossPolarized:
-                continue
-            assert abs(np.linalg.norm(e_final) - 1.0) < 1e-12
-
-    def test_cross_polarized_raises(self):
-        sc = ground_scene()
-        los = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 0)[0]
-        e0 = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(CrossPolarized):
-            transport_polarization(e0, los, copol=(0, 0, 1))
+            tnorm = per_axis[0][(1,)][2]
+            total = sum(legs[(1,)][1] ** 2 for legs in per_axis)
+            assert total == pytest.approx(tnorm ** 2, abs=1e-12)
+            checked += 1
+        assert checked > 10
 
     def test_non_transverse_e0_rejected(self):
-        sc = ground_scene()
-        los = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 0)[0]
-        with pytest.raises(ValueError):
-            transport_polarization((1, 0, 0), los, copol=(1, 0, 0))
+        # A launch field along the first segment has no transverse part, so
+        # the bounced leg carries nothing and is dropped.
+        point = np.array([0.0, 0.0, 0.7])
+        along = np.array([0.4, 0.0, 0.0]) - point  # towards the bounce point
+        legs = table_legs(ground_scene(), point, (0.8, 0, 0.7), 1,
+                          copol=(1, 0, 0), orientation=along)
+        length, amp, tnorm = legs[(1,)]
+        assert tnorm < 1e-12
+        coeff = _leg_coefficients(1, np.array(amp), np.array(tnorm),
+                                  np.array(True), np.array(length),
+                                  "phase_only")
+        assert coeff == 0.0
+
+    def test_los_always_kept_with_positive_sign(self):
+        # The co-pol vector is almost along the LOS leg, which would be
+        # cross-polarized; zero-bounce legs are kept with sign +1 anyway.
+        legs = leg_weights(ground_scene(), (0, 0, 0.7), (0.9, 0, 0.701), 0,
+                           copol=(1, 0, 0))
+        assert list(legs) == [()]
+        assert legs[()][1] == 1.0
 
 
 class TestFindPathsImages:
@@ -169,6 +185,13 @@ class TestFindPathsSbr:
             assert ps.total_length == pytest.approx(pe.total_length,
                                                     abs=1e-9)
 
+    def test_trace_returns_sequences_per_antenna(self):
+        cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
+                        rng_seed=11)
+        per_antenna = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7), (-0.6, 0.3, 0.5)],
+                                ground_scene(), cfg)
+        assert per_antenna == [{(), (1,)}, {(), (1,)}]
+
     def test_single_missing_ray_gives_empty(self):
         cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.01,
                         rng_seed=0)
@@ -177,7 +200,7 @@ class TestFindPathsSbr:
 
     def test_zero_bounce_los_exact(self):
         cfg = SbrConfig(ray_count=20_000, max_bounces=0, capture_radius=0.05,
-                        rng_seed=3, refine=False)
+                        rng_seed=3)
         paths = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), ground_scene(), cfg)
         assert len(paths) == 1
         assert paths[0].total_length == pytest.approx(0.8, abs=1e-12)
@@ -216,55 +239,58 @@ class TestFindPathsSbr:
 
 
 class TestPairWavefronts:
-    def make_legs(self):
-        sc = ground_scene()
-        tx = find_paths_images((0, 0, 0.7), (0.8, 0.1, 0.9), sc, 1)
-        rx = find_paths_images((0, 0, 0.7), (-0.5, 0.6, 0.8), sc, 1)
-        return tx, rx
+    """A scattering wavefront pairs one tx leg with one rx leg; the sum
+    weighs it by the product wt * wr of the two leg weights."""
 
     def test_product_cardinality(self):
-        tx, rx = self.make_legs()
-        tx3 = (tx + tx + tx)[:3]
-        pairs = pair_wavefronts(tx[:2], tx3, copol=(0, 1, 0))
-        assert len(pairs) == 6
+        from rtbpa.fields import (AntennaArray, FrequencySweep, PointScatterer,
+                                  synthesize_scattering_data)
+        sc = ground_scene()
+        target = np.array([0.0, 0.0, 0.7])
+        tx, rx = np.array([0.8, 0.1, 0.9]), np.array([-0.5, 0.6, 0.8])
+        sweep = FrequencySweep(18e9, 18.5e9, 100e6)
+        ms = synthesize_scattering_data(
+            [PointScatterer(target)],
+            AntennaArray(tx_positions=[tx], rx_positions=[rx],
+                         copol=(0, 1, 0)), sc, sweep, max_order=1)
+        tx_legs = leg_weights(sc, target, tx, 1, (0, 1, 0))
+        rx_legs = leg_weights(sc, target, rx, 1, (0, 1, 0))
+        pairs = [(lt + lr, wt * wr) for lt, wt in tx_legs.values()
+                 for lr, wr in rx_legs.values()]
+        assert len(pairs) == 4
+        expected = sum(w * np.exp(-1j * sweep.k_values * length)
+                       for length, w in pairs)
+        assert np.allclose(ms.samples[0, 0], expected, atol=1e-12)
 
     def test_los_pair_delta_zero(self):
-        tx, rx = self.make_legs()
-        pair = pair_wavefronts(tx[:1], rx[:1], copol=(0, 1, 0))[0]
-        assert pair.delta == 0
-        assert pair.phase_length == pytest.approx(
+        sc = ground_scene()
+        lt, wt = leg_weights(sc, (0, 0, 0.7), (0.8, 0.1, 0.9), 1,
+                             (0, 1, 0))[()]
+        lr, wr = leg_weights(sc, (0, 0, 0.7), (-0.5, 0.6, 0.8), 1,
+                             (0, 1, 0))[()]
+        assert wt * wr == 1.0
+        tx = find_paths_images((0, 0, 0.7), (0.8, 0.1, 0.9), sc, 0)
+        rx = find_paths_images((0, 0, 0.7), (-0.5, 0.6, 0.8), sc, 0)
+        assert lt + lr == pytest.approx(
             tx[0].total_length + rx[0].total_length, abs=1e-12)
 
     def test_los_times_s_pol_bounce_delta_one(self):
         sc = ground_scene()
         # Geometry in the x=0 plane so that x-polarization is purely s-pol.
-        tx = find_paths_images((0, 0, 0.7), (0, 0.9, 0.8), sc, 0)
-        rx = find_paths_images((0, 0, 0.7), (0, -0.8, 0.6), sc, 1)
-        bounce_rx = [p for p in rx if p.order == 1]
-        pairs = pair_wavefronts(tx, bounce_rx, copol=(1, 0, 0))
-        assert len(pairs) == 1
-        assert pairs[0].delta == 1
+        tx = leg_weights(sc, (0, 0, 0.7), (0, 0.9, 0.8), 0, (1, 0, 0))
+        rx = leg_weights(sc, (0, 0, 0.7), (0, -0.8, 0.6), 1, (1, 0, 0))
+        assert list(tx) == [()]
+        assert tx[()][1] * rx[(1,)][1] == -1.0
 
     def test_cross_polarized_leg_excluded(self):
         sc = ground_scene()
-        tx = find_paths_images((0, 0, 0.7), (0, 0.9, 0.7), sc, 0)
-        rx = find_paths_images((0, 0, 0.7), (0, -0.8, 0.6), sc, 1)
-        bounce_rx = [p for p in rx if p.order == 1]
-        # z-co-pol is p-pol for this geometry; at the ground bounce the
-        # transported transverse field stays well away from cross-pol, so
-        # instead make the leg cross-polarized via a copol nearly parallel
-        # to the bounce segments' plane normal x.
-        pairs = pair_wavefronts(tx, bounce_rx, copol=(0, 0.9995, 0.0312))
-        assert len(pairs) == 1  # sanity: kept when projection is healthy
-
-
-class TestAttachPolarization:
-    def test_los_always_kept_with_positive_sign(self):
-        sc = ground_scene()
-        los = find_paths_images((0, 0, 0.7), (0.9, 0, 0.701), sc, 0)
-        kept = attach_polarization(los, copol=(1, 0, 0))
-        assert len(kept) == 1
-        assert kept[0].pol_sign == 1
+        # The co-pol vector is nearly y: for this geometry the transported
+        # transverse field at the ground bounce stays well away from cross-pol.
+        tx = leg_weights(sc, (0, 0, 0.7), (0, 0.9, 0.7), 0,
+                         (0, 0.9995, 0.0312))
+        rx = leg_weights(sc, (0, 0, 0.7), (0, -0.8, 0.6), 1,
+                         (0, 0.9995, 0.0312))
+        assert tx[()][1] * rx[(1,)][1] != 0.0  # kept: projection is healthy
 
 
 class TestImagePathTableConsistency:
@@ -284,3 +310,22 @@ class TestImagePathTableConsistency:
             assert np.allclose(fast[1], ref[1], atol=1e-9)  # lengths
             assert np.allclose(np.where(fast[4], fast[2], 0.0),
                                np.where(ref[4], ref[2], 0.0), atol=1e-9)
+
+    def test_fast_eval_matches_reference_any_orientation(self):
+        # Repeated calls on one table with a fresh orientation each time: no
+        # value computed for an earlier orientation may leak into a later one.
+        rng = np.random.default_rng(13)
+        plate = Facet.rectangle(2, (-0.7, 0.4, 0.41), (1.4, 0, 0),
+                                (0, 0, 0.55))
+        sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
+        ants = rng.uniform([-0.6, 0.9, 0.2], [0.6, 1.1, 1.2], size=(8, 3))
+        table = ImagePathTable(sc, ants, 2, copol=(1, 0, 0))
+        for _ in range(40):
+            pts = rng.uniform([-0.5, -0.5, 0.2], [0.5, 0.3, 1.0], size=(4, 3))
+            ori = rng.normal(size=3)
+            for fast, ref in zip(table.eval(pts, orientation=ori),
+                                 table.eval_reference(pts, orientation=ori)):
+                assert np.array_equal(fast[4], ref[4])
+                assert np.allclose(np.where(fast[4], fast[2], 0.0),
+                                   np.where(ref[4], ref[2], 0.0), atol=1e-9)
+                assert np.allclose(fast[3], ref[3], atol=1e-9)  # tnorm
