@@ -3,9 +3,9 @@ polarization-aware back-projection adjoint and synthetic forward models."""
 
 from .errors import (EmptyImage, EmptyInput, GrazingIncidence,
                      NonPlanarReflector, ScenarioError, ShapeMismatch,
-                     Singular, UnresolvedLobe)
-from .geometry import (Bvh, Facet, Hit, Scene, intersect, mirror_point,
-                       occluded, reflect_direction)
+                     Singular, UnknownReference, UnresolvedLobe)
+from .geometry import (Facet, Hit, Scene, intersect, mirror_point, occluded,
+                       reflect_direction)
 from .propagation import (ImagePathTable, PropagationPath, SbrConfig,
                           find_paths_images, find_paths_sbr, path_hash)
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
@@ -22,16 +22,17 @@ from .scenes import (SCENARIOS, Scenario, get_scenario, load_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaArray", "Bvh", "DipoleSource", "EmptyImage", "EmptyInput",
-    "Facet", "FrequencySweep", "GrazingIncidence", "Hit", "ImageGrid",
+    "AntennaArray", "DipoleSource", "EmptyImage", "EmptyInput", "Facet",
+    "FrequencySweep", "GrazingIncidence", "Hit", "ImageGrid",
     "ImagePathTable", "MeasurementSet", "NonPlanarReflector", "PointScatterer",
     "PropagationPath", "PsfMetrics", "ReconstructionConfig", "SCENARIOS",
     "SbrConfig", "Scenario", "ScenarioError", "Scene", "ShapeMismatch",
-    "Singular", "UnresolvedLobe", "add_noise", "adjoint_pair_check",
-    "dipole_field", "find_paths_images", "find_paths_sbr", "get_scenario",
-    "image_dipole", "image_entropy", "intersect", "load_scenario",
-    "mirror_point", "naive_bpa", "occluded", "path_hash", "peak_locations",
-    "psf_metrics", "reflect_direction", "rt_bpa", "save_scenario",
-    "scenario_parallel_plates", "scenario_three_spheres", "scenario_tum_logo",
+    "Singular", "UnknownReference", "UnresolvedLobe", "add_noise",
+    "adjoint_pair_check", "dipole_field", "find_paths_images",
+    "find_paths_sbr", "get_scenario", "image_dipole", "image_entropy",
+    "intersect", "load_scenario", "mirror_point", "naive_bpa", "occluded",
+    "path_hash", "peak_locations", "psf_metrics", "reflect_direction",
+    "rt_bpa", "save_scenario", "scenario_parallel_plates",
+    "scenario_three_spheres", "scenario_tum_logo",
     "synthesize_radiation_data", "synthesize_scattering_data",
 ]

@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from . import io as rio
-from .errors import (EmptyImage, EmptyInput, RtbpaError, ScenarioError,
-                     ShapeMismatch, UnresolvedLobe)
+from .errors import (EmptyImage, RtbpaError, ScenarioError, ShapeMismatch,
+                     UnknownReference, UnresolvedLobe)
 from .imaging import (ImageGrid, ReconstructionConfig, image_entropy,
                       naive_bpa, peak_locations, psf_metrics, rt_bpa)
-from .propagation import SbrConfig
+from .propagation import MAX_ORDER, SbrConfig
 from .scenes import (SCENARIOS, Scenario, get_scenario, save_scenario,
                      scenario_text)
 from .fields import synthesize_radiation_data, synthesize_scattering_data
@@ -47,7 +47,7 @@ class RunManifest:
     apply_half_wave: bool = True
     grid_dims: Optional[tuple] = None
     seed: int = 0
-    workers: Optional[int] = None
+    workers: int = 1
     out_dir: str = "."
 
     def to_doc(self) -> dict:
@@ -61,14 +61,30 @@ def _workers_from_args(args) -> int:
     if args.workers is not None:
         return args.workers
     raw = os.environ.get("RTBPA_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ScenarioError(
-            f"RTBPA_WORKERS must be an integer, got {raw!r}") from None
+            f"RTBPA_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _check_flag_ranges(args) -> None:
+    """Reject an out-of-range flag before any work starts."""
+    if not 0 <= args.max_order <= MAX_ORDER:
+        raise ScenarioError(f"--max-order must be in 0..{MAX_ORDER}, "
+                            f"got {args.max_order}")
+    if args.rays < 1:
+        raise ScenarioError(f"--rays must be >= 1, got {args.rays}")
+    if not args.capture_radius > 0:
+        raise ScenarioError(
+            f"--capture-radius must be > 0, got {args.capture_radius}")
+    if args.grid and min(args.grid) < 1:
+        raise ScenarioError(f"--grid must be >= 1, got {args.grid}")
+    if args.workers is not None and args.workers < 1:
+        raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _manifest_from_args(args) -> RunManifest:
+    _check_flag_ranges(args)
     return RunManifest(
         scenario=args.scenario,
         engine=args.engine,
@@ -81,13 +97,6 @@ def _manifest_from_args(args) -> RunManifest:
         workers=_workers_from_args(args),
         out_dir=args.out,
     )
-
-
-def _resolve_scenario(ref: str) -> Scenario:
-    try:
-        return get_scenario(ref)
-    except KeyError as exc:
-        raise LookupError(str(exc)) from exc
 
 
 def _grid_for(manifest: RunManifest, scenario: Scenario) -> ImageGrid:
@@ -111,7 +120,7 @@ def _sbr_config(manifest: RunManifest) -> SbrConfig:
 
 
 def cmd_forward(manifest: RunManifest) -> int:
-    scenario = _resolve_scenario(manifest.scenario)
+    scenario = get_scenario(manifest.scenario)
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sbr = _sbr_config(manifest) if manifest.engine == "sbr" else None
@@ -169,7 +178,7 @@ def _metrics_for(grid: ImageGrid, wall_clock: float, algorithm: str) -> dict:
 
 def cmd_reconstruct(manifest: RunManifest, data_file: str,
                     algorithm: str) -> int:
-    scenario = _resolve_scenario(manifest.scenario)
+    scenario = get_scenario(manifest.scenario)
     data = rio.read_measurements(data_file)
     if data.mode != scenario.mode:
         raise ShapeMismatch(f"measurement mode {data.mode} does not match "
@@ -242,7 +251,7 @@ def cmd_scenes(action: str, name: Optional[str],
             print(key)
         return EXIT_OK
     if name not in SCENARIOS:
-        raise LookupError(f"unknown scenario {name!r}")
+        raise UnknownReference(f"unknown scenario {name!r}")
     scenario = SCENARIOS[name]()
     if out_file:
         save_scenario(scenario, out_file)
@@ -310,19 +319,10 @@ def main(argv: Optional[list] = None) -> int:
                 parser.error("scenes show requires a scenario name")
             return cmd_scenes(args.action, args.name, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except ScenarioError as exc:
+    except (RtbpaError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShapeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except (EmptyInput, EmptyImage, UnresolvedLobe, RtbpaError,
-            FloatingPointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return {ScenarioError: EXIT_PARSE, ShapeMismatch: EXIT_SHAPE,
+                UnknownReference: EXIT_UNKNOWN}.get(type(exc), EXIT_NUMERIC)
     return EXIT_OK
 
 

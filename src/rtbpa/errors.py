@@ -30,7 +30,12 @@ class UnresolvedLobe(RtbpaError):
 
 
 class ScenarioError(RtbpaError):
-    """Scenario file violates the schema."""
+    """Input from outside the program (scenario file, container, flag or
+    environment value) violates its schema or range."""
+
+
+class UnknownReference(RtbpaError):
+    """A scenario name or path resolves to nothing."""
 
 
 class ShapeMismatch(RtbpaError):

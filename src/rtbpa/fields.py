@@ -8,7 +8,7 @@ back-projection operator an exact transpose of the synthesizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -54,10 +54,14 @@ class FrequencySweep:
     step: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.f_start, self.f_stop, self.step])):
+            raise ValueError("sweep frequencies and step must be finite")
         if self.f_start > self.f_stop:
-            raise ValueError("f_start must be <= f_stop")
+            raise ValueError("sweep f_start must be <= f_stop")
         if self.step <= 0:
-            raise ValueError("step must be > 0")
+            raise ValueError("sweep step must be > 0")
+        if (self.f_stop - self.f_start) / self.step >= 2 ** 32:
+            raise ValueError("sweep must have fewer than 2**32 points")
 
     @property
     def count(self) -> int:
@@ -203,28 +207,6 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
     raise ValueError(f"unknown amplitude mode {amplitude!r}")
 
 
-def _accumulate_leg_spectrum(table: ImagePathTable, point: np.ndarray,
-                             orientation: np.ndarray, kvals: np.ndarray,
-                             amplitude: AmplitudeMode,
-                             captured=None) -> np.ndarray:
-    """Sum of coeff * exp(-j k L) over all legs from `point`, shape (A, K).
-
-    With `captured` (the `capture_masks` of one SBR launch from `point`) only
-    the captured (sequence, antenna) legs count.
-    """
-    acc = np.zeros((table.antennas.shape[0], kvals.size), dtype=np.complex128)
-    for seq, lengths, amp, tnorm, valid in table.eval(point[None, :],
-                                                      orientation=orientation):
-        if captured is not None:
-            valid = valid & captured.get(seq, False)
-        coeff = _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
-                                  amplitude)[0]
-        if not np.any(coeff):
-            continue
-        acc += coeff[:, None] * _unit_phasor(-lengths[0][:, None] * kvals)
-    return acc
-
-
 def _path_setup(path_engine: str, max_order: int, sbr: Optional[SbrConfig]):
     """SBR configuration (None for the images engine) and table order."""
     if path_engine == "images":
@@ -235,14 +217,42 @@ def _path_setup(path_engine: str, max_order: int, sbr: Optional[SbrConfig]):
     raise ValueError(f"unknown path engine {path_engine!r}")
 
 
-def _sbr_capture(cfg: Optional[SbrConfig], index: int, point: np.ndarray,
-                 table: ImagePathTable):
-    """Capture masks of SBR launch `index` from `point`; None without SBR."""
-    if cfg is None:
-        return None
-    seeded = replace(cfg, rng_seed=cfg.rng_seed + index)
-    return capture_masks([sbr_trace(point, table.antennas, table.scene,
-                                    seeded)])
+def _weighted_legs(table: ImagePathTable, points: np.ndarray,
+                amplitude: AmplitudeMode, sbr: Optional[SbrConfig] = None,
+                first: int = 0, orientation=None) -> list:
+    """(lengths, coeff) per sequence of `table` for a point block, each (V, A).
+
+    With `sbr`, point i launches one SBR ray set seeded `sbr.rng_seed + first
+    + i`, and only the (sequence, antenna) legs its rays captured count.
+    """
+    captured = None if sbr is None else capture_masks([
+        sbr_trace(p, table.antennas, table.scene,
+                  replace(sbr, rng_seed=sbr.rng_seed + first + i))
+        for i, p in enumerate(points)])
+    legs = []
+    for seq, lengths, amp, tnorm, valid in table.eval(points,
+                                                      orientation=orientation):
+        if captured is not None:
+            valid = valid & captured.get(seq, False)
+        legs.append((lengths, _leg_coefficients(len(seq), amp, tnorm, valid,
+                                                lengths, amplitude)))
+    return legs
+
+
+def _accumulate_leg_spectrum(table: ImagePathTable, point: np.ndarray,
+                             orientation: np.ndarray, kvals: np.ndarray,
+                             amplitude: AmplitudeMode,
+                             sbr: Optional[SbrConfig], index: int
+                             ) -> np.ndarray:
+    """Sum of coeff * exp(-j k L) over all legs from emitter `index` at
+    `point`, shape (A, K)."""
+    acc = np.zeros((table.antennas.shape[0], kvals.size), dtype=np.complex128)
+    for lengths, coeff in _weighted_legs(table, point[None, :], amplitude,
+                                         sbr, index, orientation):
+        if np.any(coeff):
+            acc += coeff[0][:, None] * _unit_phasor(-lengths[0][:, None]
+                                                    * kvals)
+    return acc
 
 
 def synthesize_radiation_data(sources: Sequence[DipoleSource],
@@ -262,8 +272,7 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
     table = ImagePathTable(scene, rx, order, arrays.copol)
     for i, src in enumerate(sources):
         samples[0] += src.amplitude * _accumulate_leg_spectrum(
-            table, src.position, src.orientation, kvals, amplitude,
-            _sbr_capture(cfg, i, src.position, table))
+            table, src.position, src.orientation, kvals, amplitude, cfg, i)
     return MeasurementSet(tx_positions=np.zeros((1, 3)), rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="radiation")
@@ -296,8 +305,7 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     rx_table = ImagePathTable(scene, rx, order, arrays.copol)
     for i, tgt in enumerate(targets):
         at, ar = (_accumulate_leg_spectrum(
-            table, tgt.position, arrays.copol, kvals, amplitude,
-            _sbr_capture(cfg, i, tgt.position, table))
+            table, tgt.position, arrays.copol, kvals, amplitude, cfg, i)
             for table in (tx_table, rx_table))
         samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
     return MeasurementSet(tx_positions=tx, rx_positions=rx,

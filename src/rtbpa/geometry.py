@@ -1,8 +1,8 @@
 """Planar PEC scene geometry: facets, intersection, occlusion, mirror transforms.
 
 All positions are in meters. Facets are perfect electric conductors; they both
-reflect rays and block line-of-sight segments. Finite facets (triangles and
-rectangles) are indexed by a BVH; infinite planes are tested linearly.
+reflect rays and block line-of-sight segments. Every query tests the facets
+linearly.
 """
 
 from __future__ import annotations
@@ -128,19 +128,6 @@ class Facet:
         eps = margin / scale
         return (bu >= eps) & (bv >= eps) & (bw >= eps)
 
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "triangle":
-            return self.vertices.min(axis=0), self.vertices.max(axis=0)
-        if self.kind == "rectangle":
-            corners = np.array([
-                self.point,
-                self.point + self.edge_u,
-                self.point + self.edge_v,
-                self.point + self.edge_u + self.edge_v,
-            ])
-            return corners.min(axis=0), corners.max(axis=0)
-        raise ValueError("infinite planes have no bounding box")
-
 
 def reflect_direction(d, n) -> np.ndarray:
     """Specular reflection of unit direction `d` off a surface with unit normal `n`."""
@@ -245,93 +232,14 @@ def _ray_facet_t(facet: Facet, o: np.ndarray, d: np.ndarray,
     return t if bool(facet.contains(x, margin=-1e-12)) else np.inf
 
 
-class Bvh:
-    """Axis-aligned bounding-box tree over the finite facets of a scene."""
-
-    def __init__(self, scene: Scene, leaf_size: int = 4):
-        self.scene = scene
-        facets = scene.facets
-        n = len(facets)
-        self._lo = []
-        self._hi = []
-        self._left = []
-        self._right = []
-        self._leaf = []  # list of facet-index tuples or None
-        if n == 0:
-            self.root = -1
-            return
-        boxes = [f.aabb() for f in facets]
-        lo = np.array([b[0] for b in boxes])
-        hi = np.array([b[1] for b in boxes])
-        cent = 0.5 * (lo + hi)
-        self.root = self._build(np.arange(n), lo, hi, cent, leaf_size)
-
-    def _build(self, idx, lo, hi, cent, leaf_size) -> int:
-        node = len(self._lo)
-        self._lo.append(lo[idx].min(axis=0))
-        self._hi.append(hi[idx].max(axis=0))
-        self._left.append(-1)
-        self._right.append(-1)
-        self._leaf.append(None)
-        if len(idx) <= leaf_size:
-            self._leaf[node] = tuple(int(i) for i in idx)
-            return node
-        spread = cent[idx].max(axis=0) - cent[idx].min(axis=0)
-        axis = int(np.argmax(spread))
-        order = idx[np.argsort(cent[idx, axis], kind="stable")]
-        half = len(order) // 2
-        self._left[node] = self._build(order[:half], lo, hi, cent, leaf_size)
-        self._right[node] = self._build(order[half:], lo, hi, cent, leaf_size)
-        return node
-
-    def _box_hit(self, node: int, o, inv_d, t_best) -> bool:
-        t0 = (self._lo[node] - o) * inv_d
-        t1 = (self._hi[node] - o) * inv_d
-        tmin = np.minimum(t0, t1).max()
-        tmax = np.maximum(t0, t1).min()
-        return tmax >= max(tmin, 0.0) and tmin <= t_best
-
-    def nearest(self, o: np.ndarray, d: np.ndarray, t_min: float):
-        """Nearest finite-facet hit: (t, facet) or (inf, None)."""
-        if self.root < 0:
-            return np.inf, None
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / np.where(np.abs(d) < 1e-300, 1e-300, d)
-        best_t = np.inf
-        best_f = None
-        stack = [self.root]
-        facets = self.scene.facets
-        while stack:
-            node = stack.pop()
-            if not self._box_hit(node, o, inv_d, best_t):
-                continue
-            leaf = self._leaf[node]
-            if leaf is None:
-                stack.append(self._left[node])
-                stack.append(self._right[node])
-                continue
-            for i in leaf:
-                t = _ray_facet_t(facets[i], o, d, t_min, best_t)
-                if t < best_t:
-                    best_t = t
-                    best_f = facets[i]
-        return best_t, best_f
-
-
-def intersect(origin, direction, scene: Scene, bvh: Optional[Bvh] = None,
+def intersect(origin, direction, scene: Scene,
               t_min: float = EPS_SELF) -> Optional[Hit]:
-    """Nearest hit of a ray against the scene (finite facets + infinite planes)."""
+    """Nearest hit of one ray against the scene; the scalar oracle that the
+    batched `rays_nearest_hit` is tested against."""
     o = as_vec3(origin)
     d = as_vec3(direction)
-    if bvh is not None:
-        best_t, best_f = bvh.nearest(o, d, t_min)
-    else:
-        best_t, best_f = np.inf, None
-        for f in scene.facets:
-            t = _ray_facet_t(f, o, d, t_min, best_t)
-            if t < best_t:
-                best_t, best_f = t, f
-    for f in scene.infinite_planes:
+    best_t, best_f = np.inf, None
+    for f in scene.all_facets:
         t = _ray_facet_t(f, o, d, t_min, best_t)
         if t < best_t:
             best_t, best_f = t, f

@@ -1,10 +1,9 @@
-"""Reconstruction operators: naive free-space BPA, the ray-traced multipath
-adjoint (RT-BPA), and focus/resolution metrics.
+"""Reconstruction operators: the ray-traced multipath adjoint (RT-BPA), the
+naive free-space BPA as its special case, and focus/resolution metrics.
 
-Both reconstructions share one coherent-summation kernel, so the RT-BPA on a
-scene with no reflectors degenerates to the naive BPA bit for bit. The voxel
-loop is chunked; chunks are independent, which makes the output identical for
-any worker count.
+The naive BPA is the RT-BPA on a scene with no reflectors, and a point list is
+reconstructed by the same job as a grid. The voxel loop is chunked; chunks are
+independent, which makes the output identical for any worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,9 +19,9 @@ import numpy as np
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
 from .fields import (AntennaArray, FrequencySweep, MeasurementSet,
                      PointScatterer, _path_setup, _unit_phasor,
-                     synthesize_scattering_data)
+                     _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
-from .propagation import ImagePathTable, SbrConfig, capture_masks, sbr_trace
+from .propagation import ImagePathTable, SbrConfig
 
 _CHUNK = 128  # voxels per task; fixed so results do not depend on worker count
 
@@ -61,10 +60,6 @@ class ImageGrid:
             self.values = np.asarray(self.values, dtype=np.complex128)
             if self.values.shape != self.dims:
                 raise ValueError("values shape does not match dims")
-
-    @staticmethod
-    def create(origin, axes, spacing, dims) -> "ImageGrid":
-        return ImageGrid(origin=origin, axes=axes, spacing=spacing, dims=dims)
 
     @staticmethod
     def planar(center, axis_i, axis_j, spacing_ij, dims_ij,
@@ -118,8 +113,6 @@ class ReconstructionConfig:
     path_engine: str = "images"  # "images" | "sbr"
     sbr: Optional[SbrConfig] = None
     apply_half_wave: bool = True
-    mode: Optional[str] = None  # default: taken from the measurement set
-    copol: Optional[np.ndarray] = None  # default: taken from the measurement set
 
     def __post_init__(self):
         if self.max_order < 0:
@@ -135,22 +128,6 @@ def _uniform_step(kvals: np.ndarray):
     if np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]):
         return True, float(d[0])
     return False, 0.0
-
-
-def _leg_weights(order: int, amp: np.ndarray, tnorm: np.ndarray,
-                 valid: np.ndarray, apply_half_wave: bool) -> np.ndarray:
-    """Unit-amplitude reconstruction weights: 0 (dropped) or +-1.
-
-    The -1 realizes the pi phase of odd polarization parity; with the
-    half-wave correction disabled every kept leg weighs +1.
-    """
-    from .fields import _leg_coefficients
-
-    coeff = _leg_coefficients(order, amp, tnorm, valid,
-                              np.ones_like(amp), "phase_only")
-    if not apply_half_wave:
-        return np.abs(coeff)
-    return coeff
 
 
 def _horner_sum(lengths: np.ndarray, w: np.ndarray, t0: np.ndarray,
@@ -224,75 +201,80 @@ def _sum_scattering(t: np.ndarray, kvals: np.ndarray,
 # ---------------------------------------------------------------------------
 # Chunked evaluation (shared by serial and multiprocessing execution)
 
-_JOB: dict = {}
+
+@dataclass(frozen=True)
+class _Job:
+    """One reconstruction over a point array; chunks index into `points`."""
+
+    points: np.ndarray  # (N, 3)
+    kvals: np.ndarray
+    samples: np.ndarray
+    half_wave: bool
+    sbr: Optional[SbrConfig]  # None for the images engine
+    rx_table: ImagePathTable
+    tx_table: Optional[ImagePathTable]  # None for radiation data
 
 
-def _set_job(job: dict) -> None:
-    global _JOB
-    _JOB = job
+_job: Optional[_Job] = None
 
 
-def _table_legs(table: ImagePathTable, points: np.ndarray,
-                apply_half_wave: bool,
-                captured=None) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(lengths, weights) per sequence class; with `captured` (the
-    `capture_masks` of per-point SBR launches) only captured legs count."""
-    legs = []
-    for seq, lengths, amp, tnorm, valid in table.eval(points):
-        if captured is not None:
-            valid = valid & captured.get(seq, False)
-        legs.append((lengths, _leg_weights(len(seq), amp, tnorm, valid,
-                                           apply_half_wave)))
-    return legs
+def _set_job(job: Optional[_Job]) -> None:
+    global _job
+    _job = job
 
 
-def _sbr_captures(table: ImagePathTable, points: np.ndarray, lo: int,
-                  cfg: SbrConfig):
-    """Capture masks of one SBR launch per voxel, seeded by its flat index."""
-    return capture_masks([
-        sbr_trace(p, table.antennas, table.scene,
-                  replace(cfg, rng_seed=cfg.rng_seed + lo + vi))
-        for vi, p in enumerate(points)])
+def _build_job(data: MeasurementSet, points: np.ndarray, scene: Scene,
+               cfg: ReconstructionConfig,
+               rx_table: Optional[ImagePathTable] = None,
+               tx_table: Optional[ImagePathTable] = None) -> _Job:
+    if data.samples.size == 0:
+        raise EmptyInput("measurement set holds no samples")
+    if points.shape[0] == 0:
+        raise EmptyInput("no voxels to reconstruct")
+    sbr, order = _path_setup(cfg.path_engine, cfg.max_order, cfg.sbr)
+
+    def table(given, antennas):
+        return given if given is not None else ImagePathTable(
+            scene, antennas, order, data.copol)
+
+    return _Job(points=points, kvals=data.sweep.k_values,
+                samples=data.samples, half_wave=cfg.apply_half_wave, sbr=sbr,
+                rx_table=table(rx_table, data.rx_positions),
+                tx_table=None if data.mode == "radiation"
+                else table(tx_table, data.tx_positions))
 
 
 def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
     lo, hi = bounds
-    job = _JOB
-    grid: ImageGrid = job["grid"]
-    points = grid.centers_block(lo, hi)
-    kvals = job["kvals"]
-    samples = job["samples"]
-    sbr: Optional[SbrConfig] = job["sbr"]
+    job = _job
+    points = job.points[lo:hi]
 
     def legs(table: ImagePathTable):
-        captured = (None if sbr is None
-                    else _sbr_captures(table, points, lo, sbr))
-        return _table_legs(table, points, job["half_wave"], captured)
+        # Unit-amplitude weights 0 or +-1: the -1 realizes the pi phase of
+        # odd polarization parity, which the half-wave correction keeps.
+        out = _weighted_legs(table, points, "phase_only", job.sbr, lo)
+        return out if job.half_wave else [(L, np.abs(w)) for L, w in out]
 
-    rx_legs = legs(job["rx_table"])
-    if job["mode"] == "radiation":
-        return _sum_radiation(samples[0], kvals, rx_legs)
-    tx_legs = legs(job["tx_table"])
-    return _sum_scattering(samples, kvals, tx_legs, rx_legs, points.shape[0])
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        workers = int(os.environ.get("RTBPA_WORKERS", "1"))
-    return max(1, int(workers))
+    rx_legs = legs(job.rx_table)
+    if job.tx_table is None:
+        return _sum_radiation(job.samples[0], job.kvals, rx_legs)
+    return _sum_scattering(job.samples, job.kvals, legs(job.tx_table),
+                           rx_legs, points.shape[0])
 
 
-def _run_job(job: dict, n_voxels: int, workers: Optional[int]) -> np.ndarray:
-    ranges = [(lo, min(lo + _CHUNK, n_voxels))
-              for lo in range(0, n_voxels, _CHUNK)]
+def _run_job(job: _Job, workers: int) -> np.ndarray:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    n = job.points.shape[0]
+    ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     # More processes than CPUs or chunks only add start-up cost.
-    workers = min(_resolve_workers(workers), os.cpu_count() or 1, len(ranges))
+    workers = min(workers, os.cpu_count() or 1, len(ranges))
     if workers == 1:
         _set_job(job)
         try:
             parts = [_compute_chunk(r) for r in ranges]
         finally:
-            _set_job({})
+            _set_job(None)
         return np.concatenate(parts)
     try:
         ctx = multiprocessing.get_context("fork")
@@ -304,36 +286,15 @@ def _run_job(job: dict, n_voxels: int, workers: Optional[int]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _check_data(data: MeasurementSet) -> None:
-    if data.samples.size == 0:
-        raise EmptyInput("measurement set holds no samples")
-
-
 def naive_bpa(data: MeasurementSet, grid: ImageGrid,
-              workers: Optional[int] = 1) -> ImageGrid:
-    """Free-space back-projection: conjugate-phase sum over straight legs."""
-    _check_data(data)
-    if grid.n_voxels == 0:
-        raise EmptyInput("grid holds no voxels")
-    empty = Scene([])
-    job = {
-        "grid": grid,
-        "kvals": data.sweep.k_values,
-        "samples": data.samples,
-        "mode": data.mode,
-        "sbr": None,
-        "half_wave": True,
-        "rx_table": ImagePathTable(empty, data.rx_positions, 0, data.copol),
-    }
-    if data.mode == "scattering":
-        job["tx_table"] = ImagePathTable(empty, data.tx_positions, 0,
-                                         data.copol)
-    values = _run_job(job, grid.n_voxels, workers)
-    return grid.with_values(values)
+              workers: int = 1) -> ImageGrid:
+    """Free-space back-projection: RT-BPA on a scene without reflectors."""
+    return rt_bpa(data, grid, Scene([]), ReconstructionConfig(max_order=0),
+                  workers)
 
 
 def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
-           cfg: ReconstructionConfig, workers: Optional[int] = 1,
+           cfg: ReconstructionConfig, workers: int = 1,
            rx_table: Optional[ImagePathTable] = None,
            tx_table: Optional[ImagePathTable] = None) -> ImageGrid:
     """Multipath adjoint: per-voxel sum over ray-traced wavefronts.
@@ -342,47 +303,18 @@ def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
     tables may be passed in; they must match the scene, antennas, order, and
     co-pol vector of the configuration.
     """
-    _check_data(data)
-    if grid.n_voxels == 0:
-        raise EmptyInput("grid holds no voxels")
-    mode = cfg.mode or data.mode
-    copol = unit(cfg.copol) if cfg.copol is not None else data.copol
-    sbr, order = _path_setup(cfg.path_engine, cfg.max_order, cfg.sbr)
-    job = {
-        "grid": grid,
-        "kvals": data.sweep.k_values,
-        "samples": data.samples,
-        "mode": mode,
-        "sbr": sbr,
-        "half_wave": cfg.apply_half_wave,
-        "rx_table": rx_table if rx_table is not None else ImagePathTable(
-            scene, data.rx_positions, order, copol),
-    }
-    if mode == "scattering":
-        job["tx_table"] = tx_table if tx_table is not None else \
-            ImagePathTable(scene, data.tx_positions, order, copol)
-    values = _run_job(job, grid.n_voxels, workers)
-    return grid.with_values(values)
+    job = _build_job(data, grid.centers_block(0, grid.n_voxels), scene, cfg,
+                     rx_table, tx_table)
+    return grid.with_values(_run_job(job, workers))
 
 
 def reconstruct_at_points(points, data: MeasurementSet, scene: Scene,
                           cfg: ReconstructionConfig) -> np.ndarray:
-    """RT-BPA evaluated at an arbitrary point list (serial)."""
-    _check_data(data)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    mode = cfg.mode or data.mode
-    copol = unit(cfg.copol) if cfg.copol is not None else data.copol
-    kvals = data.sweep.k_values
-    if cfg.path_engine != "images":
-        raise ValueError("point-wise reconstruction uses the images engine")
-    rx_table = ImagePathTable(scene, data.rx_positions, cfg.max_order, copol)
-    rx_legs = _table_legs(rx_table, points, cfg.apply_half_wave)
-    if mode == "radiation":
-        return _sum_radiation(data.samples[0], kvals, rx_legs)
-    tx_table = ImagePathTable(scene, data.tx_positions, cfg.max_order, copol)
-    tx_legs = _table_legs(tx_table, points, cfg.apply_half_wave)
-    return _sum_scattering(data.samples, kvals, tx_legs, rx_legs,
-                           points.shape[0])
+    """RT-BPA at an arbitrary point list, run serially by the job `rt_bpa`
+    runs: point i is treated (and with the SBR engine seeded) as voxel i."""
+    job = _build_job(data, np.asarray(points, dtype=float).reshape(-1, 3),
+                     scene, cfg)
+    return _run_job(job, 1)
 
 
 def adjoint_pair_check(targets: Sequence[PointScatterer],

@@ -106,13 +106,23 @@ def read_measurements(path) -> MeasurementSet:
         samples = np.frombuffer(
             _read_exact(fh, 8 * n_tx * n_rx * n_k, "samples"),
             "<c8").reshape(n_tx, n_rx, n_k).astype(np.complex128)
-    sweep = FrequencySweep(f_start=f_start, f_stop=f_stop, step=step)
-    if sweep.count != n_k:
-        raise ScenarioError(f"{path}: sweep count {sweep.count} does not "
-                            f"match stored n_k {n_k}")
-    return MeasurementSet(tx_positions=tx, rx_positions=rx, copol=copol,
-                          sweep=sweep, samples=samples,
-                          mode="radiation" if mode == 0 else "scattering")
+    if mode not in (0, 1):
+        raise ScenarioError(f"{path}: mode byte {mode} is neither 0 nor 1")
+    if not np.all(np.isfinite(copol)) or not np.any(copol):
+        raise ScenarioError(f"{path}: copol must be finite and nonzero")
+    for name, pos in (("tx positions", tx), ("rx positions", rx)):
+        if not np.all(np.isfinite(pos)):
+            raise ScenarioError(f"{path}: {name} must be finite")
+    try:
+        sweep = FrequencySweep(f_start=f_start, f_stop=f_stop, step=step)
+        if sweep.count != n_k:
+            raise ScenarioError(f"{path}: sweep count {sweep.count} does not "
+                                f"match stored n_k {n_k}")
+        return MeasurementSet(tx_positions=tx, rx_positions=rx, copol=copol,
+                              sweep=sweep, samples=samples,
+                              mode="radiation" if mode == 0 else "scattering")
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def write_image(path, grid: ImageGrid) -> None:
@@ -138,8 +148,11 @@ def read_image(path) -> ImageGrid:
         _check_size(fh, path, 8 * n)
         values = np.frombuffer(_read_exact(fh, 8 * n, "values"),
                                "<c8").reshape(dims).astype(np.complex128)
-    return ImageGrid(origin=origin, axes=axes, spacing=spacing, dims=dims,
-                     values=values)
+    try:
+        return ImageGrid(origin=origin, axes=axes, spacing=spacing, dims=dims,
+                         values=values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def magnitude_db(grid: ImageGrid) -> np.ndarray:

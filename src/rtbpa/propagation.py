@@ -24,6 +24,8 @@ from .geometry import (EDGE_MARGIN, EPS_SELF, Scene, as_vec3,
 
 # Paths whose normalized co-pol projection falls below this are discarded.
 CROSS_POL_THRESHOLD = 1e-3
+# Sequence count grows as ~facets**order; deeper orders are refused.
+MAX_ORDER = 5
 
 _PLANAR_KINDS = {"triangle", "rectangle", "plane"}
 
@@ -85,6 +87,8 @@ class SbrConfig:
 
 def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
     """All reflector-id sequences up to max_order without immediate repeats."""
+    if not 0 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be in 0..{MAX_ORDER}")
     for f in scene.all_facets:
         if f.kind not in _PLANAR_KINDS:
             raise NonPlanarReflector(f"facet {f.id} has kind {f.kind!r}")
@@ -169,8 +173,6 @@ def _exact_paths(point, antenna, sequences: Iterable[Tuple[int, ...]],
 def find_paths_images(point, antenna, scene: Scene,
                       max_order: int) -> List[PropagationPath]:
     """All specular paths up to max_order via the exact image method."""
-    if max_order > 5:
-        raise ValueError("max_order must be <= 5")
     return _exact_paths(point, antenna, enumerate_sequences(scene, max_order),
                         scene)
 

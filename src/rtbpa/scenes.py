@@ -17,7 +17,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, UnknownReference
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
                      PointScatterer)
 from .geometry import Facet, Scene, segments_blocked
@@ -311,7 +311,7 @@ def get_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if path.exists():
         return load_scenario(path)
-    raise KeyError(f"unknown scenario {ref!r}")
+    raise UnknownReference(f"unknown scenario {ref!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +464,19 @@ def _facet_from_doc(doc, where) -> Facet:
 
 
 def load_scenario(path) -> Scenario:
+    """Read a scenario file; any fault of its content raises ScenarioError."""
     try:
-        raw = Path(path).read_text()
-        doc = json.loads(raw)
+        return _scenario_from_doc(json.loads(Path(path).read_text()))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column "
                             f"{exc.colno}: {exc.msg}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _scenario_from_doc(doc) -> Scenario:
     r = _Reader(doc)
     version = r.get("schema_version", int)
     if version != SCHEMA_VERSION:
@@ -488,10 +493,7 @@ def load_scenario(path) -> Scenario:
               for i, d in enumerate(facet_docs)]
     occ = rs.get("occluder_ids", list)
     rs.finish()
-    try:
-        scene = Scene(facets, occluder_ids=[int(i) for i in occ])
-    except ValueError as exc:
-        raise ScenarioError(f"field 'scenario.scene': {exc}") from exc
+    scene = Scene(facets, occluder_ids=[int(i) for i in occ])
 
     ra = r.sub("arrays")
     tx_raw = ra.get("tx_positions", list)
@@ -541,9 +543,5 @@ def load_scenario(path) -> Scenario:
             rr.finish()
     r.finish()
     arrays = AntennaArray(tx_positions=tx, rx_positions=rx, copol=copol)
-    try:
-        return Scenario(name=name, scene=scene, sources=sources,
-                        targets=targets, arrays=arrays, sweep=sweep,
-                        grid=grid)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Scenario(name=name, scene=scene, sources=sources, targets=targets,
+                    arrays=arrays, sweep=sweep, grid=grid)

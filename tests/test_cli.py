@@ -280,3 +280,83 @@ def test_bad_workers_env_exits_2(free_space_file, tmp_path, monkeypatch,
     # An explicit flag does not consult the environment.
     assert main(["forward", "--scenario", str(free_space_file),
                  "--workers", "1", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.fixture(scope="module")
+def plates_container(tmp_path_factory):
+    """A parallel_plates measurement container (order 0)."""
+    out = tmp_path_factory.mktemp("plates")
+    assert main(["forward", "--scenario", "parallel_plates",
+                 "--max-order", "0", "--out", str(out)]) == 0
+    return (out / "measurements.rtbpa").read_bytes()
+
+
+def _patched(raw, offset, values):
+    """Container bytes with little-endian doubles written from `offset`
+    (header: 20 bytes, sweep at 20, copol at 44, tx at 68, rx from 92)."""
+    patch = struct.pack(f"<{len(values)}d", *values)
+    return raw[:offset] + patch + raw[offset + len(patch):]
+
+
+@pytest.mark.parametrize("offset, values, field", [
+    (44, [float("nan")], "copol"),
+    (44, [0.0, 0.0, 0.0], "copol"),
+    (92, [float("inf")], "rx positions"),
+    (20, [20e9, 18e9], "sweep"),
+], ids=["nan_copol", "zero_copol", "inf_position", "reversed_sweep"])
+def test_bad_container_field_exits_2(plates_container, tmp_path, capsys,
+                                     offset, values, field):
+    bad = tmp_path / "bad.rtbpa"
+    bad.write_bytes(_patched(plates_container, offset, values))
+    assert main(["reconstruct", "--scenario", "parallel_plates",
+                 "--data", str(bad), "--max-order", "0", "--grid", "1", "1",
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-order", "-1"], ["--max-order", "6"], ["--rays", "0"],
+    ["--capture-radius", "0"], ["--grid", "0", "4"], ["--workers", "0"],
+], ids=lambda flags: "_".join(flags).lstrip("-"))
+def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert main(["forward", "--scenario", str(free_space_file),
+                 "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["reversed_sweep", "text_rx_coordinate"])
+def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
+    doc = json.loads(free_space_file.read_text())
+    if edit == "reversed_sweep":
+        doc["sweep"]["f_start_hz"], doc["sweep"]["f_stop_hz"] = 20e9, 18e9
+    else:
+        doc["arrays"]["rx_positions"][0][1] = "one"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["forward", "--scenario", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_internal_lookup_error_not_an_exit_code(free_space_file, tmp_path,
+                                                monkeypatch):
+    # Only the package's own error types map to exit codes; a KeyError from
+    # inside the forward path is a bug and surfaces as one.
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("rtbpa.cli.synthesize_radiation_data", broken)
+    with pytest.raises(KeyError):
+        main(["forward", "--scenario", str(free_space_file),
+              "--out", str(tmp_path / "o")])
+
+
+def test_public_names_resolve():
+    import rtbpa
+    for name in rtbpa.__all__:
+        assert getattr(rtbpa, name) is not None, name

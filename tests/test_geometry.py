@@ -1,10 +1,10 @@
-"""Geometry primitives: reflection, mirroring, intersection, occlusion, BVH."""
+"""Geometry primitives: reflection, mirroring, intersection, occlusion."""
 
 import numpy as np
 import pytest
 
 from rtbpa.errors import GrazingIncidence
-from rtbpa.geometry import (Bvh, Facet, Scene, intersect, mirror_point,
+from rtbpa.geometry import (Facet, Scene, intersect, mirror_point,
                             occluded, rays_nearest_hit, reflect_direction)
 
 SQ2 = np.sqrt(2.0)
@@ -107,24 +107,6 @@ class TestIntersect:
         h = intersect((0.5, 0.0, 1.0), (0, 0, -1), sc)
         assert h is not None
         assert h.t == pytest.approx(1.0, abs=1e-12)
-
-    def test_bvh_matches_brute_force(self):
-        rng = np.random.default_rng(2)
-        for trial in range(4):
-            sc = random_scene(rng, int(rng.integers(20, 200)))
-            bvh = Bvh(sc)
-            for _ in range(60):
-                o = rng.uniform(-2, 2, 3)
-                d = rng.normal(size=3)
-                d /= np.linalg.norm(d)
-                ha = intersect(o, d, sc)
-                hb = intersect(o, d, sc, bvh=bvh)
-                if ha is None:
-                    assert hb is None
-                else:
-                    assert hb is not None
-                    assert ha.t == pytest.approx(hb.t, abs=1e-12)
-                    assert ha.surface_id == hb.surface_id
 
     def test_batch_tracer_matches_scalar(self):
         rng = np.random.default_rng(3)

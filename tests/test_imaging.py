@@ -82,21 +82,35 @@ class TestNaiveBpa:
 
 
 class TestRtBpaDegeneracy:
-    def test_scattering_no_facets_equals_naive_bitwise(self):
-        ms = monostatic_data()
+    @pytest.mark.parametrize("half_wave", [True, False])
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_no_facets_equals_naive_bitwise(self, mode, half_wave):
+        ms = (radiation_data(Scene([])) if mode == "radiation"
+              else monostatic_data())
         grid = small_grid()
         ref = naive_bpa(ms, grid)
-        for order in (0, 2):
-            out = rt_bpa(ms, grid, Scene([]),
-                         ReconstructionConfig(max_order=order))
+        assert np.any(ref.values)
+        for order in (0, 1, 3):
+            cfg = ReconstructionConfig(max_order=order,
+                                       apply_half_wave=half_wave)
+            out = rt_bpa(ms, grid, Scene([]), cfg)
             assert np.array_equal(out.values, ref.values)
 
-    def test_radiation_no_facets_equals_naive_bitwise(self):
-        ms = radiation_data(Scene([]))
-        grid = small_grid()
-        ref = naive_bpa(ms, grid)
-        out = rt_bpa(ms, grid, Scene([]), ReconstructionConfig(max_order=1))
-        assert np.array_equal(out.values, ref.values)
+    @pytest.mark.parametrize("engine", ["images", "sbr"])
+    def test_points_equal_grid_bitwise(self, engine):
+        # A point list runs the job of a grid; in flat voxel order each point
+        # gets the SBR seed of its voxel, so the values agree bit for bit.
+        sc = Scene([GROUND])
+        ms = monostatic_data()
+        grid = small_grid(n=12, spacing=0.01)  # 144 voxels: two chunks
+        sbr = SbrConfig(ray_count=2_000, max_bounces=1, rng_seed=3)
+        cfg = ReconstructionConfig(max_order=1, path_engine=engine,
+                                   sbr=sbr if engine == "sbr" else None)
+        image = rt_bpa(ms, grid, sc, cfg)
+        assert np.any(image.values)
+        points = reconstruct_at_points(grid.centers_block(0, grid.n_voxels),
+                                       ms, sc, cfg)
+        assert np.array_equal(points, image.values.ravel())
 
     def test_linearity(self):
         ms = radiation_data(Scene([GROUND]))
@@ -137,7 +151,7 @@ class TestRtBpaDegeneracy:
                 return self
 
             def __exit__(self, *exc):
-                imaging._set_job({})
+                imaging._set_job(None)
 
             def map(self, fn, items, chunksize=1):
                 return [fn(item) for item in items]

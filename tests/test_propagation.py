@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from rtbpa.errors import NonPlanarReflector
-from rtbpa.fields import _leg_coefficients
+from rtbpa.fields import _leg_coefficients, _weighted_legs
 from rtbpa.geometry import Facet, Scene
-from rtbpa.imaging import _table_legs
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
                                find_paths_images, find_paths_sbr, path_hash,
                                sbr_trace)
@@ -27,7 +26,8 @@ def table_legs(scene, point, antenna, max_order, copol, orientation=None):
 def leg_weights(scene, point, antenna, max_order, copol):
     """{sequence: (length, weight)} of the legs the reconstruction keeps."""
     table = ImagePathTable(scene, [antenna], max_order, copol)
-    legs = _table_legs(table, np.array([point], dtype=float), True)
+    legs = _weighted_legs(table, np.array([point], dtype=float),
+                          "phase_only")
     return {seq: (lengths[0, 0], w[0, 0])
             for seq, (lengths, w) in zip(table.sequences, legs) if w[0, 0]}
 
