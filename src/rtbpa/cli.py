@@ -123,7 +123,7 @@ def cmd_forward(manifest: RunManifest) -> int:
     scenario = get_scenario(manifest.scenario)
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sbr = _sbr_config(manifest) if manifest.engine == "sbr" else None
+    sbr = _sbr_config(manifest)  # the images engine ignores it
     if scenario.mode == "radiation":
         data = synthesize_radiation_data(
             scenario.sources, scenario.arrays, scenario.scene, scenario.sweep,
@@ -199,7 +199,7 @@ def cmd_reconstruct(manifest: RunManifest, data_file: str,
     else:
         cfg = ReconstructionConfig(
             max_order=manifest.max_order, path_engine=manifest.engine,
-            sbr=_sbr_config(manifest) if manifest.engine == "sbr" else None,
+            sbr=_sbr_config(manifest),
             apply_half_wave=manifest.apply_half_wave)
         image = rt_bpa(data, grid, scenario.scene, cfg,
                        workers=manifest.workers)

@@ -9,14 +9,14 @@ back-projection operator an exact transpose of the synthesizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal, Optional, Sequence
+from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, Singular
 from .geometry import Facet, Scene, as_vec3, unit
 from .propagation import (CROSS_POL_THRESHOLD, ImagePathTable, SbrConfig,
-                          capture_masks, sbr_trace)
+                          _check_scene, enumeration_order, sbr_trace)
 
 C0 = 299792458.0  # m/s
 
@@ -207,48 +207,57 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
     raise ValueError(f"unknown amplitude mode {amplitude!r}")
 
 
-def _path_setup(path_engine: str, max_order: int, sbr: Optional[SbrConfig]):
-    """SBR configuration (None for the images engine) and table order."""
+def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
+                 max_order: int, path_engine: str, sbr: Optional[SbrConfig]
+                 ) -> Callable[..., List[ImagePathTable]]:
+    """`tables(points, launch=0)`: one ImagePathTable per antenna set, over
+    the reflector sequences the path engine picks for a point block.
+
+    `images` picks every sequence up to `max_order`, whatever the points.
+    `sbr` picks the sequences that one `sbr_trace` launch from the points,
+    seeded `sbr.rng_seed + launch`, captured at any antenna of the set, up to
+    `sbr.max_bounces` (default: an `SbrConfig` with `max_order` bounces).
+    """
     if path_engine == "images":
-        return None, max_order
-    if path_engine == "sbr":
-        cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
-        return cfg, cfg.max_bounces
-    raise ValueError(f"unknown path engine {path_engine!r}")
+        fixed = [ImagePathTable(scene, ants, max_order, copol)
+                 for ants in antenna_sets]
+        return lambda points, launch=0: fixed
+    if path_engine != "sbr":
+        raise ValueError(f"unknown path engine {path_engine!r}")
+    cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
+    _check_scene(scene, cfg.max_bounces)  # refuse before any launch
+
+    def tables(points, launch=0):
+        per_antenna = sbr_trace(points, np.concatenate(antenna_sets), scene,
+                                replace(cfg, rng_seed=cfg.rng_seed + launch))
+        out, start = [], 0
+        for ants in antenna_sets:
+            seqs = set().union(*per_antenna[start:start + len(ants)])
+            start += len(ants)
+            out.append(ImagePathTable(scene, ants, cfg.max_bounces, copol,
+                                      enumeration_order(seqs, scene)))
+        return out
+    return tables
 
 
 def _weighted_legs(table: ImagePathTable, points: np.ndarray,
-                amplitude: AmplitudeMode, sbr: Optional[SbrConfig] = None,
-                first: int = 0, orientation=None) -> list:
-    """(lengths, coeff) per sequence of `table` for a point block, each (V, A).
-
-    With `sbr`, point i launches one SBR ray set seeded `sbr.rng_seed + first
-    + i`, and only the (sequence, antenna) legs its rays captured count.
-    """
-    captured = None if sbr is None else capture_masks([
-        sbr_trace(p, table.antennas, table.scene,
-                  replace(sbr, rng_seed=sbr.rng_seed + first + i))
-        for i, p in enumerate(points)])
-    legs = []
-    for seq, lengths, amp, tnorm, valid in table.eval(points,
-                                                      orientation=orientation):
-        if captured is not None:
-            valid = valid & captured.get(seq, False)
-        legs.append((lengths, _leg_coefficients(len(seq), amp, tnorm, valid,
-                                                lengths, amplitude)))
-    return legs
+                   amplitude: AmplitudeMode, orientation=None) -> list:
+    """(lengths, coeff) per sequence of `table` for a point block, each
+    (V, A)."""
+    return [(lengths, _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
+                                        amplitude))
+            for seq, lengths, amp, tnorm, valid
+            in table.eval(points, orientation=orientation)]
 
 
-def _accumulate_leg_spectrum(table: ImagePathTable, point: np.ndarray,
-                             orientation: np.ndarray, kvals: np.ndarray,
-                             amplitude: AmplitudeMode,
-                             sbr: Optional[SbrConfig], index: int
-                             ) -> np.ndarray:
-    """Sum of coeff * exp(-j k L) over all legs from emitter `index` at
-    `point`, shape (A, K)."""
+def _leg_spectrum(table: ImagePathTable, point: np.ndarray,
+                  orientation: np.ndarray, kvals: np.ndarray,
+                  amplitude: AmplitudeMode) -> np.ndarray:
+    """Sum of coeff * exp(-j k L) over all legs of `table` from `point`,
+    shape (A, K)."""
     acc = np.zeros((table.antennas.shape[0], kvals.size), dtype=np.complex128)
     for lengths, coeff in _weighted_legs(table, point[None, :], amplitude,
-                                         sbr, index, orientation):
+                                         orientation):
         if np.any(coeff):
             acc += coeff[0][:, None] * _unit_phasor(-lengths[0][:, None]
                                                     * kvals)
@@ -265,14 +274,15 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
     """Multipath radiation data T[rx, k] for a set of dipole sources."""
     if not sources:
         raise EmptyInput("no sources")
-    cfg, order = _path_setup(path_engine, max_order, sbr)
     kvals = sweep.k_values
     rx = arrays.rx_positions
     samples = np.zeros((1, rx.shape[0], kvals.size), dtype=np.complex128)
-    table = ImagePathTable(scene, rx, order, arrays.copol)
+    tables = _path_tables(scene, [rx], arrays.copol, max_order, path_engine,
+                          sbr)
     for i, src in enumerate(sources):
-        samples[0] += src.amplitude * _accumulate_leg_spectrum(
-            table, src.position, src.orientation, kvals, amplitude, cfg, i)
+        (table,) = tables(src.position, i)
+        samples[0] += src.amplitude * _leg_spectrum(
+            table, src.position, src.orientation, kvals, amplitude)
     return MeasurementSet(tx_positions=np.zeros((1, 3)), rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="radiation")
@@ -293,7 +303,6 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     """
     if not targets:
         raise EmptyInput("no targets")
-    cfg, order = _path_setup(path_engine, max_order, sbr)
     kvals = sweep.k_values
     tx = arrays.tx_positions
     rx = arrays.rx_positions
@@ -301,12 +310,12 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
         raise EmptyInput("empty antenna array")
     samples = np.zeros((tx.shape[0], rx.shape[0], kvals.size),
                        dtype=np.complex128)
-    tx_table = ImagePathTable(scene, tx, order, arrays.copol)
-    rx_table = ImagePathTable(scene, rx, order, arrays.copol)
+    tables = _path_tables(scene, [tx, rx], arrays.copol, max_order,
+                          path_engine, sbr)
     for i, tgt in enumerate(targets):
-        at, ar = (_accumulate_leg_spectrum(
-            table, tgt.position, arrays.copol, kvals, amplitude, cfg, i)
-            for table in (tx_table, rx_table))
+        at, ar = (_leg_spectrum(table, tgt.position, arrays.copol, kvals,
+                                amplitude)
+                  for table in tables(tgt.position, i))
         samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
     return MeasurementSet(tx_positions=tx, rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
 from .fields import (AntennaArray, FrequencySweep, MeasurementSet,
-                     PointScatterer, _path_setup, _unit_phasor,
+                     PointScatterer, _path_tables, _unit_phasor,
                      _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig
@@ -54,6 +54,8 @@ class ImageGrid:
         if np.any(self.spacing <= 0):
             raise ValueError("spacing must be positive")
         self.dims = tuple(int(d) for d in self.dims)
+        if min(self.dims) < 1:
+            raise ValueError(f"grid dims must be >= 1, got {self.dims}")
         if self.values is None:
             self.values = np.zeros(self.dims, dtype=np.complex128)
         else:
@@ -121,41 +123,27 @@ class ReconstructionConfig:
             raise ValueError(f"unknown path engine {self.path_engine!r}")
 
 
-def _uniform_step(kvals: np.ndarray):
-    if kvals.size < 2:
-        return True, 0.0
-    d = np.diff(kvals)
-    if np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]):
-        return True, float(d[0])
-    return False, 0.0
-
-
 def _horner_sum(lengths: np.ndarray, w: np.ndarray, t0: np.ndarray,
                 kvals: np.ndarray) -> np.ndarray:
     """sum_rx sum_k T[rx, k] * w * exp(+j k L) over one leg class.
 
-    On a uniform sweep exp(+j k_i L) = base * step^i, and the sum over k is a
-    polynomial in the step phasor evaluated by Horner's rule, so the whole
-    class costs two trigonometric passes plus K fused multiply-adds.
+    A `FrequencySweep` is uniform, so exp(+j k_i L) = base * step^i and the
+    sum over k is a polynomial in the step phasor evaluated by Horner's rule:
+    the whole class costs two trigonometric passes plus K fused
+    multiply-adds.
     """
     base = w * _unit_phasor(kvals[0] * lengths)
     n_k = kvals.size
     if n_k == 1:
         return (base * t0[:, 0]).sum(axis=1)
-    uniform, dk = _uniform_step(kvals)
-    if uniform:
-        step = _unit_phasor(dk * lengths)
-        h = np.empty_like(base)
-        h[:] = t0[:, n_k - 1]
-        for i in range(n_k - 2, -1, -1):
-            h *= step
-            h += t0[:, i]
-        h *= base
-        return h.sum(axis=1)
-    acc = (base * t0[:, 0]).sum(axis=1)
-    for i in range(1, n_k):
-        acc += (w * _unit_phasor(kvals[i] * lengths) * t0[:, i]).sum(axis=1)
-    return acc
+    step = _unit_phasor((kvals[1] - kvals[0]) * lengths)
+    h = np.empty_like(base)
+    h[:] = t0[:, n_k - 1]
+    for i in range(n_k - 2, -1, -1):
+        h *= step
+        h += t0[:, i]
+    h *= base
+    return h.sum(axis=1)
 
 
 def _sum_radiation(t0: np.ndarray, kvals: np.ndarray,
@@ -210,7 +198,6 @@ class _Job:
     kvals: np.ndarray
     samples: np.ndarray
     half_wave: bool
-    sbr: Optional[SbrConfig]  # None for the images engine
     rx_table: ImagePathTable
     tx_table: Optional[ImagePathTable]  # None for radiation data
 
@@ -231,17 +218,19 @@ def _build_job(data: MeasurementSet, points: np.ndarray, scene: Scene,
         raise EmptyInput("measurement set holds no samples")
     if points.shape[0] == 0:
         raise EmptyInput("no voxels to reconstruct")
-    sbr, order = _path_setup(cfg.path_engine, cfg.max_order, cfg.sbr)
-
-    def table(given, antennas):
-        return given if given is not None else ImagePathTable(
-            scene, antennas, order, data.copol)
-
+    tables = {"rx": rx_table}
+    if data.mode == "scattering":
+        tables["tx"] = tx_table
+    antennas = {"rx": data.rx_positions, "tx": data.tx_positions}
+    missing = [key for key, table in tables.items() if table is None]
+    if missing:
+        # The SBR engine launches its one ray set here, before any chunk.
+        tables.update(zip(missing, _path_tables(
+            scene, [antennas[key] for key in missing], data.copol,
+            cfg.max_order, cfg.path_engine, cfg.sbr)(points)))
     return _Job(points=points, kvals=data.sweep.k_values,
-                samples=data.samples, half_wave=cfg.apply_half_wave, sbr=sbr,
-                rx_table=table(rx_table, data.rx_positions),
-                tx_table=None if data.mode == "radiation"
-                else table(tx_table, data.tx_positions))
+                samples=data.samples, half_wave=cfg.apply_half_wave,
+                rx_table=tables["rx"], tx_table=tables.get("tx"))
 
 
 def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
@@ -252,7 +241,7 @@ def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
     def legs(table: ImagePathTable):
         # Unit-amplitude weights 0 or +-1: the -1 realizes the pi phase of
         # odd polarization parity, which the half-wave correction keeps.
-        out = _weighted_legs(table, points, "phase_only", job.sbr, lo)
+        out = _weighted_legs(table, points, "phase_only")
         return out if job.half_wave else [(L, np.abs(w)) for L, w in out]
 
     rx_legs = legs(job.rx_table)
@@ -301,7 +290,8 @@ def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
 
     Voxels with no surviving propagation path are left at zero. Prebuilt path
     tables may be passed in; they must match the scene, antennas, order, and
-    co-pol vector of the configuration.
+    co-pol vector of the configuration, and they are used as they are: a
+    table's sequence list is its path engine's choice.
     """
     job = _build_job(data, grid.centers_block(0, grid.n_voxels), scene, cfg,
                      rx_table, tx_table)
@@ -311,7 +301,8 @@ def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
 def reconstruct_at_points(points, data: MeasurementSet, scene: Scene,
                           cfg: ReconstructionConfig) -> np.ndarray:
     """RT-BPA at an arbitrary point list, run serially by the job `rt_bpa`
-    runs: point i is treated (and with the SBR engine seeded) as voxel i."""
+    runs: point i is treated (and the SBR engine launches from it) as
+    voxel i."""
     job = _build_job(data, np.asarray(points, dtype=float).reshape(-1, 3),
                      scene, cfg)
     return _run_job(job, 1)

@@ -2,18 +2,18 @@
 
 Two engines find the same reflector sequences on all-planar scenes: the exact
 image method enumerates every admissible sequence, and a stochastic
-shooting-and-bouncing-rays tracer keeps the sequences its rays carry to each
-antenna. Either way the exact specular path of a sequence is computed by the
+shooting-and-bouncing-rays tracer keeps the sequences its rays carry to the
+antennas. Either way the exact specular path of a sequence is computed by the
 image method: one path at a time by `_trace_sequence`, or for whole voxel
-blocks by `ImagePathTable`, which is also the only place that transports the
-polarization through the PEC bounces.
+blocks by `ImagePathTable` over a sequence list, which is also the only place
+that transports the polarization through the PEC bounces.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,13 +85,18 @@ class SbrConfig:
             raise ValueError("capture_radius must be > 0")
 
 
-def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
-    """All reflector-id sequences up to max_order without immediate repeats."""
+def _check_scene(scene: Scene, max_order: int) -> None:
     if not 0 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_ORDER}")
     for f in scene.all_facets:
         if f.kind not in _PLANAR_KINDS:
             raise NonPlanarReflector(f"facet {f.id} has kind {f.kind!r}")
+
+
+def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
+    """All reflector-id sequences up to max_order without immediate repeats,
+    by length, then by facet position in `scene.all_facets`."""
+    _check_scene(scene, max_order)
     ids = [f.id for f in scene.all_facets]
     seqs: List[Tuple[int, ...]] = [()]
     frontier: List[Tuple[int, ...]] = [()]
@@ -105,6 +110,14 @@ def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
         seqs.extend(nxt)
         frontier = nxt
     return seqs
+
+
+def enumeration_order(sequences: Iterable[Tuple[int, ...]],
+                      scene: Scene) -> List[Tuple[int, ...]]:
+    """`sequences` in the order `enumerate_sequences` lists them."""
+    position = {f.id: i for i, f in enumerate(scene.all_facets)}
+    return sorted(sequences,
+                  key=lambda seq: (len(seq), [position[f] for f in seq]))
 
 
 def _image_chain(antenna: np.ndarray, seq: Sequence[int],
@@ -182,21 +195,24 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sbr_trace(point, antennas, scene: Scene,
+def sbr_trace(points, antennas, scene: Scene,
               cfg: SbrConfig) -> List[Set[Tuple[int, ...]]]:
-    """Shoot cfg.ray_count rays from `point`; return, per antenna, the set of
-    interaction sequences its rays captured.
+    """Shoot cfg.ray_count rays from a point or an (N, 3) point block; return,
+    per antenna, the set of interaction sequences its rays captured.
 
-    A ray is captured by an antenna when its current free segment passes within
-    cfg.capture_radius of it. A captured sequence is only a candidate: the
-    exact path of each one (and whether it exists) comes from the image method.
+    Ray r starts at point floor(r * N / ray_count), so a one-point block
+    launches the rays of the point itself and every point gets a ray when
+    ray_count >= N. A ray is captured by an antenna when its current free
+    segment passes within cfg.capture_radius of it. A captured sequence is
+    only a candidate: the exact path of each one (and whether it exists)
+    comes from the image method.
     """
-    point = as_vec3(point)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
     antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
     rng = np.random.default_rng(cfg.rng_seed)
     n = cfg.ray_count
     dirs = _uniform_sphere(rng, n)
-    origins = np.broadcast_to(point, (n, 3)).copy()
+    origins = points[np.arange(n) * points.shape[0] // n]
     alive = np.ones(n, dtype=bool)
     seqs = np.full((n, cfg.max_bounces), -1, dtype=np.int64)
     captured: List[Set[Tuple[int, ...]]] = [set() for _ in antennas]
@@ -239,24 +255,6 @@ def sbr_trace(point, antennas, scene: Scene,
     return captured
 
 
-def capture_masks(captures: Sequence[Sequence[Set[Tuple[int, ...]]]]
-                  ) -> Dict[Tuple[int, ...], np.ndarray]:
-    """(points, antennas) boolean mask per captured sequence.
-
-    `captures[v]` is the `sbr_trace` result of point v. A sequence missing
-    from the result was captured nowhere.
-    """
-    shape = (len(captures), len(captures[0]))
-    masks: Dict[Tuple[int, ...], np.ndarray] = {}
-    for v, per_antenna in enumerate(captures):
-        for a, seqs in enumerate(per_antenna):
-            for seq in seqs:
-                if seq not in masks:
-                    masks[seq] = np.zeros(shape, dtype=bool)
-                masks[seq][v, a] = True
-    return masks
-
-
 def find_paths_sbr(point, antenna, scene: Scene,
                    cfg: SbrConfig) -> List[PropagationPath]:
     """SBR path search between one point and one antenna: the exact paths of
@@ -268,19 +266,24 @@ def find_paths_sbr(point, antenna, scene: Scene,
 class ImagePathTable:
     """Precomputed image-method machinery for one antenna list.
 
-    For every admissible reflector sequence the antenna mirror images and the
-    composite PEC field dyadic are frequency- and voxel-independent, so they
-    are built once and evaluated for whole voxel blocks at a time. Both path
-    engines evaluate their legs here; the SBR engine then keeps only the
-    legs whose sequence its rays captured.
+    For every reflector sequence of the table the antenna mirror images and
+    the composite PEC field dyadic are frequency- and voxel-independent, so
+    they are built once and evaluated for whole voxel blocks at a time. The
+    sequences are all those up to `max_order` (the images engine) unless a
+    list is given (the SBR engine passes the sequences its rays captured).
     """
 
-    def __init__(self, scene: Scene, antennas, max_order: int, copol):
+    def __init__(self, scene: Scene, antennas, max_order: int, copol,
+                 sequences: Optional[Sequence[Tuple[int, ...]]] = None):
         self.scene = scene
         self.antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
         self.copol = unit(copol)
         self.max_order = int(max_order)
-        self.sequences = enumerate_sequences(scene, self.max_order)
+        if sequences is None:
+            self.sequences = enumerate_sequences(scene, self.max_order)
+        else:
+            _check_scene(scene, self.max_order)
+            self.sequences = list(sequences)
         self._entries = []
         for seq in self.sequences:
             pts = self.antennas
@@ -336,8 +339,10 @@ class ImagePathTable:
                 acc = x if acc is None else acc + x
             return acc
 
-        def cross_blocked(facet, a_terms, b_terms, seg_len, margin):
-            """True where the open physical segment crosses `facet`."""
+        def cross(facet, a_terms, b_terms, seg_len, margin):
+            """(mask, tau) of the open physical segment a -> b crossing
+            `facet` at least `margin` inside its edges, with tau the crossing
+            fraction along the segment; None if it crosses nowhere."""
             n = facet.normal
             off = float(facet.point @ n)
             sa = term_dot(a_terms, n) - off
@@ -350,7 +355,7 @@ class ImagePathTable:
             t_m = tau * seg_len
             crossing &= (t_m > EPS_SELF) & (t_m < seg_len - EPS_SELF)
             if facet.kind == "plane":
-                return crossing
+                return crossing, tau
 
             def xdot(vec):
                 ad = term_dot(a_terms, vec)
@@ -363,7 +368,7 @@ class ImagePathTable:
                 crossing &= (cu >= margin) & (cu <= ulen - margin)
                 cv = xdot(v_hat) - float(facet.point @ v_hat)
                 crossing &= (cv >= margin) & (cv <= vlen - margin)
-                return crossing
+                return crossing, tau
             e1, e2, d00, d01, d11, inv_denom, scale = facet.frame
             d20 = xdot(e1) - float(facet.point @ e1)
             d21 = xdot(e2) - float(facet.point @ e2)
@@ -371,16 +376,15 @@ class ImagePathTable:
             bw = (d00 * d21 - d01 * d20) * inv_denom
             eps = margin / scale
             crossing &= (bv >= eps) & (bw >= eps) & (1.0 - bv - bw >= eps)
-            return crossing
+            return crossing, tau
 
         def occlusion(valid, a_terms, b_terms, seg_len, ignore):
             for f in self.scene.all_facets:
                 if f.id in ignore or f.id not in self.scene.occluder_ids:
                     continue
-                blocked = cross_blocked(f, a_terms, b_terms, seg_len,
-                                        EDGE_MARGIN)
+                blocked = cross(f, a_terms, b_terms, seg_len, EDGE_MARGIN)
                 if blocked is not None:
-                    valid &= ~blocked
+                    valid &= ~blocked[0]
             return valid
 
         pp = np.einsum("vi,vi->v", points, points)
@@ -411,36 +415,18 @@ class ImagePathTable:
             dead = False
             for j, facet in enumerate(entry["facets"]):
                 image_j = entry["images"][j]
-                n = facet.normal
-                off = float(facet.point @ n)
-                sa = term_dot(cur_terms, n) - off
-                sb = dot(image_j, n)[None, :] - off
-                crossing = (sa * sb) < 0.0
-                valid &= crossing
+                # The bounce point is where the segment towards the next
+                # antenna image crosses the facet, inside its edges.
+                hit = cross(facet, cur_terms, [(None, image_j, 1)], rem, 0.0)
+                valid &= False if hit is None else hit[0]
                 if not valid.any():
                     dead = True
                     break
-                denom = np.where(sa == sb, 1.0, sa - sb)
-                tau = np.where(crossing, sa / denom, 0.5)
-                t_m = tau * rem
-                valid &= (t_m > EPS_SELF) & (t_m < rem - EPS_SELF)
+                tau = hit[1]
                 # scale existing terms by (1 - tau), then add tau * image_j
                 q_terms = [((1.0 - tau) if c is None else c * (1.0 - tau),
                             b, ax) for c, b, ax in cur_terms]
                 q_terms.append((tau, image_j, 1))
-                if facet.kind == "rectangle":
-                    u_hat, v_hat, ulen, vlen = facet.frame
-                    cu = term_dot(q_terms, u_hat) - float(facet.point @ u_hat)
-                    valid &= (cu >= 0.0) & (cu <= ulen)
-                    cv = term_dot(q_terms, v_hat) - float(facet.point @ v_hat)
-                    valid &= (cv >= 0.0) & (cv <= vlen)
-                elif facet.kind == "triangle":
-                    e1, e2, d00, d01, d11, inv_denom, scale = facet.frame
-                    d20 = term_dot(q_terms, e1) - float(facet.point @ e1)
-                    d21 = term_dot(q_terms, e2) - float(facet.point @ e2)
-                    bv = (d11 * d20 - d01 * d21) * inv_denom
-                    bw = (d00 * d21 - d01 * d20) * inv_denom
-                    valid &= (bv >= 0.0) & (bw >= 0.0) & (1.0 - bv - bw >= 0.0)
                 ignore = {facet.id} if prev_id is None else {prev_id, facet.id}
                 valid = occlusion(valid, cur_terms, q_terms, tau * rem, ignore)
                 rem = (1.0 - tau) * rem

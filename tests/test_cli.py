@@ -329,11 +329,14 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["reversed_sweep", "text_rx_coordinate"])
+@pytest.mark.parametrize("edit", ["reversed_sweep", "text_rx_coordinate",
+                                  "zero_grid_dim"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
         doc["sweep"]["f_start_hz"], doc["sweep"]["f_stop_hz"] = 20e9, 18e9
+    elif edit == "zero_grid_dim":
+        doc["grid"]["dims"][0] = 0
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"

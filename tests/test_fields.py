@@ -216,6 +216,19 @@ class TestSynthesizeRadiation:
                           capture_radius=0.05, rng_seed=2))
         assert np.allclose(sbr.samples, ref.samples, atol=1e-9)
 
+    def test_sbr_order_refused_before_launch(self, monkeypatch):
+        from rtbpa.propagation import MAX_ORDER, SbrConfig
+
+        def launch(*args, **kwargs):
+            raise AssertionError("rays launched")
+
+        monkeypatch.setattr("rtbpa.fields.sbr_trace", launch)
+        with pytest.raises(ValueError):
+            synthesize_radiation_data(
+                [DipoleSource((0, 0, 0.7), (1, 0, 0))], small_arrays(),
+                Scene([GROUND]), SWEEP, path_engine="sbr",
+                sbr=SbrConfig(ray_count=10, max_bounces=MAX_ORDER + 1))
+
     @pytest.mark.parametrize("engine", ["images", "sbr"])
     def test_superposition_mixed_orientations(self, engine):
         # Sources of different orientations: each keeps its own launch

@@ -98,8 +98,9 @@ class TestRtBpaDegeneracy:
 
     @pytest.mark.parametrize("engine", ["images", "sbr"])
     def test_points_equal_grid_bitwise(self, engine):
-        # A point list runs the job of a grid; in flat voxel order each point
-        # gets the SBR seed of its voxel, so the values agree bit for bit.
+        # A point list runs the job of a grid; in flat voxel order the SBR
+        # engine launches the same one ray set from the same points, so the
+        # values agree bit for bit.
         sc = Scene([GROUND])
         ms = monostatic_data()
         grid = small_grid(n=12, spacing=0.01)  # 144 voxels: two chunks
@@ -237,6 +238,24 @@ class TestRtBpaDegeneracy:
         out = rt_bpa(ms, grid, sc, cfg)
         scale = np.abs(ref.values).max()
         assert np.allclose(out.values, ref.values, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_sbr_engine_bitwise_equals_images_engine(self, mode):
+        # One launch over the grid finds every sequence with a valid leg, and
+        # the table evaluates each of them at every (voxel, antenna) pair.
+        plate = Facet.rectangle(2, (-1, 1.5, 0.0), (2, 0, 0), (0, 0, 2))
+        sc = Scene([GROUND, plate])
+        ms = (radiation_data(sc, n_rx=6) if mode == "radiation"
+              else monostatic_data())
+        grid = small_grid(n=12, spacing=0.02)  # 144 voxels: two chunks
+        ref = rt_bpa(ms, grid, sc, ReconstructionConfig(max_order=2))
+        cfg = ReconstructionConfig(
+            max_order=2, path_engine="sbr",
+            sbr=SbrConfig(ray_count=20_000, max_bounces=2,
+                          capture_radius=0.05, rng_seed=1))
+        out = rt_bpa(ms, grid, sc, cfg)
+        assert np.any(ref.values)
+        assert np.array_equal(out.values, ref.values)
 
     def test_sbr_engine_workers_bit_identical(self):
         sc = Scene([GROUND])
@@ -392,6 +411,26 @@ class TestPeaksAndEntropy:
             image_entropy(grid)
 
 
+class TestCoherentSum:
+    def test_horner_matches_direct_sum_on_fine_step(self):
+        # A 1 kHz step at 20 GHz: rounding makes the wavenumber steps differ
+        # by more than 1e-9 relative, yet the sweep is uniform by
+        # construction and the first step's phasor serves every step.
+        from rtbpa.imaging import _horner_sum
+        kvals = FrequencySweep(20e9, 20e9 + 4e3, 1e3).k_values
+        steps = np.diff(kvals)
+        assert kvals.size == 5
+        assert np.ptp(steps) > 1e-9 * steps[0]
+        rng = np.random.default_rng(8)
+        lengths = rng.uniform(0.5, 3.0, size=(6, 4))
+        w = rng.choice([-1.0, 0.0, 1.0], size=(6, 4))
+        t0 = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        direct = sum((w * np.exp(1j * k * lengths) * t0[:, i]).sum(axis=1)
+                     for i, k in enumerate(kvals))
+        got = _horner_sum(lengths, w, t0, kvals)
+        assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
 class TestImageGrid:
     def test_voxel_center_layout(self):
         grid = ImageGrid(origin=(1, 2, 3), axes=np.eye(3),
@@ -405,3 +444,9 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             ImageGrid(origin=(0, 0, 0), axes=np.ones((3, 3)),
                       spacing=(1, 1, 1), dims=(2, 2, 1))
+
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (2, 2, 0), (3, -1, 1)])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(ValueError):
+            ImageGrid(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+                      dims=dims)

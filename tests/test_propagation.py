@@ -7,8 +7,8 @@ from rtbpa.errors import NonPlanarReflector
 from rtbpa.fields import _leg_coefficients, _weighted_legs
 from rtbpa.geometry import Facet, Scene
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
-                               find_paths_images, find_paths_sbr, path_hash,
-                               sbr_trace)
+                               enumeration_order, find_paths_images,
+                               find_paths_sbr, path_hash, sbr_trace)
 
 
 def ground_scene():
@@ -191,6 +191,40 @@ class TestFindPathsSbr:
         per_antenna = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7), (-0.6, 0.3, 0.5)],
                                 ground_scene(), cfg)
         assert per_antenna == [{(), (1,)}, {(), (1,)}]
+
+    def test_one_point_block_launches_the_point_rays(self):
+        # Pinned to the captures of the one-point tracer that predates point
+        # blocks: a (1, 3) block and a bare point launch the same rays.
+        plate = Facet.rectangle(2, (-1, 1.5, 0.0), (2, 0, 0), (0, 0, 2))
+        sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
+        cfg = SbrConfig(ray_count=3_000, max_bounces=2, capture_radius=0.1,
+                        rng_seed=7)
+        antennas = [(0.5, 0.8, 0.9), (-0.4, 0.6, 0.3)]
+        expected = [{(), (1,), (2,)}, {(), (1,), (1, 2), (2,), (2, 1)}]
+        assert sbr_trace((0.1, 0, 0.6), antennas, sc, cfg) == expected
+        assert sbr_trace([[0.1, 0, 0.6]], antennas, sc, cfg) == expected
+
+    @pytest.mark.parametrize("extra", [0, 3, 6])
+    def test_block_gives_every_point_a_ray(self, extra):
+        # Each point has an antenna 1 cm away, inside the capture radius of
+        # every ray it launches; the points are 5 m apart.
+        points = np.array([[5.0 * i, 0.0, 0.0] for i in range(7)])
+        cfg = SbrConfig(ray_count=len(points) + extra, max_bounces=0,
+                        capture_radius=0.05, rng_seed=1)
+        per_antenna = sbr_trace(points, points + [0.0, 0.0, 0.01], Scene([]),
+                                cfg)
+        assert per_antenna == [{()}] * len(points)
+
+    def test_sequences_sorted_as_enumerated(self):
+        # Facet positions, not ids, order the sequences of one length.
+        sc = Scene([Facet.plane(5, (0, 0, 0), (0, 0, 1)),
+                    Facet.plane(2, (0, 2, 0), (0, 1, 0)),
+                    Facet.plane(3, (2, 0, 0), (1, 0, 0))])
+        every = enumerate_sequences(sc, 2)
+        assert every[1:4] == [(5,), (2,), (3,)]
+        assert enumeration_order(every[::-1], sc) == every
+        some = every[::3]
+        assert enumeration_order(set(some), sc) == some
 
     def test_single_missing_ray_gives_empty(self):
         cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.01,
