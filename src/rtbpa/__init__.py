@@ -1,13 +1,11 @@
 """Multipath microwave imaging: geometrical-optics ray engines paired with a
 polarization-aware back-projection adjoint and synthetic forward models."""
 
-from .errors import (EmptyImage, EmptyInput, GrazingIncidence,
-                     NonPlanarReflector, ScenarioError, ShapeMismatch,
-                     Singular, UnknownReference, UnresolvedLobe)
-from .geometry import (Facet, Hit, Scene, intersect, mirror_point, occluded,
-                       reflect_direction)
-from .propagation import (ImagePathTable, PropagationPath, SbrConfig,
-                          find_paths_images, find_paths_sbr, path_hash)
+from .errors import (EmptyImage, EmptyInput, NonPlanarReflector,
+                     ScenarioError, ShapeMismatch, Singular, UnknownReference,
+                     UnresolvedLobe)
+from .geometry import Facet, Hit, Scene, intersect
+from .propagation import ImagePathTable, SbrConfig
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
                      MeasurementSet, PointScatterer, add_noise, dipole_field,
                      image_dipole, synthesize_radiation_data,
@@ -23,16 +21,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "DipoleSource", "EmptyImage", "EmptyInput", "Facet",
-    "FrequencySweep", "GrazingIncidence", "Hit", "ImageGrid",
-    "ImagePathTable", "MeasurementSet", "NonPlanarReflector", "PointScatterer",
-    "PropagationPath", "PsfMetrics", "ReconstructionConfig", "SCENARIOS",
-    "SbrConfig", "Scenario", "ScenarioError", "Scene", "ShapeMismatch",
-    "Singular", "UnknownReference", "UnresolvedLobe", "add_noise",
-    "adjoint_pair_check", "dipole_field", "find_paths_images",
-    "find_paths_sbr", "get_scenario", "image_dipole", "image_entropy",
-    "intersect", "load_scenario", "mirror_point", "naive_bpa", "occluded",
-    "path_hash", "peak_locations", "psf_metrics", "reflect_direction",
-    "rt_bpa", "save_scenario", "scenario_parallel_plates",
-    "scenario_three_spheres", "scenario_tum_logo",
-    "synthesize_radiation_data", "synthesize_scattering_data",
+    "FrequencySweep", "Hit", "ImageGrid", "ImagePathTable", "MeasurementSet",
+    "NonPlanarReflector", "PointScatterer", "PsfMetrics",
+    "ReconstructionConfig", "SCENARIOS", "SbrConfig", "Scenario",
+    "ScenarioError", "Scene", "ShapeMismatch", "Singular", "UnknownReference",
+    "UnresolvedLobe", "add_noise", "adjoint_pair_check", "dipole_field",
+    "get_scenario", "image_dipole", "image_entropy", "intersect",
+    "load_scenario", "naive_bpa", "peak_locations", "psf_metrics", "rt_bpa",
+    "save_scenario", "scenario_parallel_plates", "scenario_three_spheres",
+    "scenario_tum_logo", "synthesize_radiation_data",
+    "synthesize_scattering_data",
 ]

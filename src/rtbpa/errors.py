@@ -5,10 +5,6 @@ class RtbpaError(Exception):
     """Base class for package errors."""
 
 
-class GrazingIncidence(RtbpaError):
-    """Ray direction is (numerically) parallel to the reflecting surface."""
-
-
 class NonPlanarReflector(RtbpaError):
     """A reflector without a supporting plane was used for image construction."""
 

@@ -12,11 +12,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GrazingIncidence
-
 # Self-intersection guard along a ray/segment, meters.
 EPS_SELF = 1e-7
-# |d.n| at or below this counts as grazing incidence.
+# |d.n| at or below this counts as grazing incidence: SBR drops the ray.
 GRAZING_TOL = 1e-9
 # Interior margin for occlusion tests: a segment grazing a facet edge within
 # this distance does not block.
@@ -129,25 +127,9 @@ class Facet:
         return (bu >= eps) & (bv >= eps) & (bw >= eps)
 
 
-def reflect_direction(d, n) -> np.ndarray:
-    """Specular reflection of unit direction `d` off a surface with unit normal `n`."""
-    d = as_vec3(d)
-    n = as_vec3(n)
-    dn = float(np.dot(d, n))
-    if abs(dn) <= GRAZING_TOL:
-        raise GrazingIncidence(f"|d.n| = {abs(dn):.3e} at or below tolerance")
-    return d - 2.0 * dn * n
-
-
-def mirror_point(p, plane: Facet) -> np.ndarray:
-    """Reflection of point `p` across the facet's supporting plane."""
-    p = as_vec3(p)
-    n = plane.normal
-    return p - 2.0 * float(np.dot(p - plane.point, n)) * n
-
-
 def mirror_points(pts: np.ndarray, plane: Facet) -> np.ndarray:
-    """Vectorized `mirror_point` over the leading axes of `pts`."""
+    """Reflection of the points `pts` (trailing axis of 3) across the
+    facet's supporting plane."""
     pts = np.asarray(pts, dtype=float)
     n = plane.normal
     dist = (pts - plane.point) @ n
@@ -301,15 +283,6 @@ def segments_blocked(a, b, scene: Scene,
         if blocked.all():
             break
     return blocked
-
-
-def occluded(a, b, scene: Scene, ignore: Sequence[int] = ()) -> bool:
-    """True iff a facet not in `ignore` blocks the open segment (a, b)."""
-    a = as_vec3(a)
-    b = as_vec3(b)
-    if np.array_equal(a, b):
-        raise ValueError("occlusion test requires distinct endpoints")
-    return bool(segments_blocked(a, b, scene, ignore=ignore))
 
 
 def rays_nearest_hit(origins: np.ndarray, dirs: np.ndarray, scene: Scene,

@@ -41,18 +41,21 @@ class ImageGrid:
     values: np.ndarray = None
 
     def __post_init__(self):
+        # Every check is written as `not (ok)` so that NaN fails it.
         self.origin = as_vec3(self.origin)
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
         self.axes = np.asarray(self.axes, dtype=float).reshape(3, 3)
         for row in self.axes:
-            if abs(np.linalg.norm(row) - 1.0) > 1e-9:
+            if not (abs(np.linalg.norm(row) - 1.0) <= 1e-9):
                 raise ValueError("grid axes must be unit vectors")
-        if abs(self.axes[0] @ self.axes[1]) > 1e-9 or \
-           abs(self.axes[0] @ self.axes[2]) > 1e-9 or \
-           abs(self.axes[1] @ self.axes[2]) > 1e-9:
+        if not (abs(self.axes[0] @ self.axes[1]) <= 1e-9 and
+                abs(self.axes[0] @ self.axes[2]) <= 1e-9 and
+                abs(self.axes[1] @ self.axes[2]) <= 1e-9):
             raise ValueError("grid axes must be orthogonal")
         self.spacing = np.asarray(self.spacing, dtype=float).reshape(3)
-        if np.any(self.spacing <= 0):
-            raise ValueError("spacing must be positive")
+        if not np.all((self.spacing > 0) & np.isfinite(self.spacing)):
+            raise ValueError("spacing must be positive and finite")
         self.dims = tuple(int(d) for d in self.dims)
         if min(self.dims) < 1:
             raise ValueError(f"grid dims must be >= 1, got {self.dims}")

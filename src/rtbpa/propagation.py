@@ -3,24 +3,22 @@
 Two engines find the same reflector sequences on all-planar scenes: the exact
 image method enumerates every admissible sequence, and a stochastic
 shooting-and-bouncing-rays tracer keeps the sequences its rays carry to the
-antennas. Either way the exact specular path of a sequence is computed by the
-image method: one path at a time by `_trace_sequence`, or for whole voxel
-blocks by `ImagePathTable` over a sequence list, which is also the only place
-that transports the polarization through the PEC bounces.
+antennas. Either way `ImagePathTable` computes the exact specular path of
+each sequence by the image method, for whole voxel blocks and every antenna
+at once; it is also the only place that transports the polarization through
+the PEC bounces.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import NonPlanarReflector
-from .geometry import (EDGE_MARGIN, EPS_SELF, Scene, as_vec3,
-                       mirror_point, mirror_points, rays_nearest_hit,
-                       segments_blocked, unit)
+from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
+                       mirror_points, rays_nearest_hit, segments_blocked, unit)
 
 # Paths whose normalized co-pol projection falls below this are discarded.
 CROSS_POL_THRESHOLD = 1e-3
@@ -28,45 +26,6 @@ CROSS_POL_THRESHOLD = 1e-3
 MAX_ORDER = 5
 
 _PLANAR_KINDS = {"triangle", "rectangle", "plane"}
-
-
-def path_hash(interaction_sequence: Sequence[int]) -> int:
-    """Deterministic, order-sensitive 64-bit hash of a surface-id sequence."""
-    seq = tuple(int(s) for s in interaction_sequence)
-    if not seq:
-        return 0
-    h = hashlib.blake2b(digest_size=8)
-    for s in seq:
-        h.update(s.to_bytes(8, "little", signed=True))
-    return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationPath:
-    """One GO leg between an image-domain point and an antenna."""
-
-    endpoint_a: np.ndarray  # image-domain point
-    endpoint_b: np.ndarray  # antenna position
-    vertices: np.ndarray  # (m, 3) bounce points, possibly empty
-    interaction_sequence: Tuple[int, ...]
-    total_length: float
-    hash: int = 0
-
-    @property
-    def order(self) -> int:
-        return len(self.interaction_sequence)
-
-    def points(self) -> np.ndarray:
-        """Full polyline a -> bounces -> b, shape (m+2, 3)."""
-        return np.vstack([self.endpoint_a, self.vertices, self.endpoint_b])
-
-
-def _make_path(a, b, vertices, seq, total_length) -> PropagationPath:
-    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    return PropagationPath(
-        endpoint_a=as_vec3(a), endpoint_b=as_vec3(b), vertices=vertices,
-        interaction_sequence=tuple(int(s) for s in seq),
-        total_length=float(total_length), hash=path_hash(seq))
 
 
 @dataclass
@@ -81,7 +40,7 @@ class SbrConfig:
             raise ValueError("ray_count must be >= 1")
         if self.max_bounces < 0:
             raise ValueError("max_bounces must be >= 0")
-        if self.capture_radius <= 0:
+        if not (self.capture_radius > 0):  # NaN fails it too
             raise ValueError("capture_radius must be > 0")
 
 
@@ -118,76 +77,6 @@ def enumeration_order(sequences: Iterable[Tuple[int, ...]],
     position = {f.id: i for i, f in enumerate(scene.all_facets)}
     return sorted(sequences,
                   key=lambda seq: (len(seq), [position[f] for f in seq]))
-
-
-def _image_chain(antenna: np.ndarray, seq: Sequence[int],
-                 scene: Scene) -> List[np.ndarray]:
-    """Antenna images for a reflector sequence: images[j] aims bounce j+1.
-
-    images[0] is the deepest image (mirrored through the whole sequence);
-    images[m] is the antenna itself.
-    """
-    chain = [antenna]
-    for fid in reversed(tuple(seq)):
-        chain.append(mirror_point(chain[-1], scene.by_id[fid]))
-    return chain[::-1]
-
-
-def _trace_sequence(point: np.ndarray, antenna: np.ndarray,
-                    seq: Tuple[int, ...], scene: Scene) -> Optional[PropagationPath]:
-    """Exact specular path for one reflector sequence, or None if invalid."""
-    if not seq:
-        if segments_blocked(point, antenna, scene):
-            return None
-        return _make_path(point, antenna, np.empty((0, 3)), (),
-                          float(np.linalg.norm(antenna - point)))
-    images = _image_chain(antenna, seq, scene)
-    total = float(np.linalg.norm(images[0] - point))
-    cur = point
-    verts = []
-    prev_id: Optional[int] = None
-    for j, fid in enumerate(seq):
-        facet = scene.by_id[fid]
-        target = images[j]
-        n = facet.normal
-        sa = float(np.dot(cur - facet.point, n))
-        sb = float(np.dot(target - facet.point, n))
-        if sa * sb >= 0.0:
-            return None
-        t_rel = sa / (sa - sb)
-        seg_len = float(np.linalg.norm(target - cur))
-        if not (EPS_SELF < t_rel * seg_len < seg_len - EPS_SELF):
-            return None
-        q = cur + t_rel * (target - cur)
-        if not bool(facet.contains(q, margin=0.0)):
-            return None
-        ignore = {fid} if prev_id is None else {prev_id, fid}
-        if segments_blocked(cur, q, scene, ignore=ignore):
-            return None
-        verts.append(q)
-        cur = q
-        prev_id = fid
-    if segments_blocked(cur, antenna, scene, ignore={seq[-1]}):
-        return None
-    return _make_path(point, antenna, np.array(verts), seq, total)
-
-
-def _exact_paths(point, antenna, sequences: Iterable[Tuple[int, ...]],
-                 scene: Scene) -> List[PropagationPath]:
-    """Valid exact paths of the given sequences, sorted by (length, hash)."""
-    point = as_vec3(point)
-    antenna = as_vec3(antenna)
-    paths = [p for p in (_trace_sequence(point, antenna, seq, scene)
-                         for seq in sequences) if p is not None]
-    paths.sort(key=lambda p: (p.total_length, p.hash))
-    return paths
-
-
-def find_paths_images(point, antenna, scene: Scene,
-                      max_order: int) -> List[PropagationPath]:
-    """All specular paths up to max_order via the exact image method."""
-    return _exact_paths(point, antenna, enumerate_sequences(scene, max_order),
-                        scene)
 
 
 def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -241,7 +130,7 @@ def sbr_trace(points, antennas, scene: Scene,
         if np.any(hit_ok):
             cosines = np.abs(np.einsum("ij,ij->i", d, facet_normals[
                 np.where(hit_ok, hit_fi, 0)]))
-            hit_ok &= cosines > 1e-9
+            hit_ok &= cosines > GRAZING_TOL
         alive[idx] = hit_ok
         keep = np.flatnonzero(hit_ok)
         if keep.size == 0:
@@ -253,14 +142,6 @@ def sbr_trace(points, antennas, scene: Scene,
         origins[rays] = o[keep] + t_hit[keep, None] * d[keep]
         seqs[rays, bounce] = facet_ids[hit_fi[keep]]
     return captured
-
-
-def find_paths_sbr(point, antenna, scene: Scene,
-                   cfg: SbrConfig) -> List[PropagationPath]:
-    """SBR path search between one point and one antenna: the exact paths of
-    the captured sequences."""
-    captured = sbr_trace(point, [as_vec3(antenna)], scene, cfg)[0]
-    return _exact_paths(point, antenna, captured, scene)
 
 
 class ImagePathTable:

@@ -11,6 +11,7 @@ Each builder asserts its own occlusion claims after construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -463,16 +464,27 @@ def _facet_from_doc(doc, where) -> Facet:
     return facet
 
 
+def _finite_number(token: str) -> float:
+    """JSON number hook: strict JSON has no NaN or Infinity token, and a
+    literal beyond the double range would parse as an infinity."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {token!r} (strict JSON)")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     """Read a scenario file; any fault of its content raises ScenarioError."""
     try:
-        return _scenario_from_doc(json.loads(Path(path).read_text()))
+        return _scenario_from_doc(json.loads(
+            Path(path).read_text(), parse_constant=_finite_number,
+            parse_float=_finite_number))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column "
                             f"{exc.colno}: {exc.msg}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

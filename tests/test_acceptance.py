@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
-                          PointScatterer, dipole_field, image_dipole,
-                          synthesize_radiation_data,
+                          PointScatterer, _path_tables, dipole_field,
+                          image_dipole, synthesize_radiation_data,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
 from rtbpa.imaging import (ImageGrid, ReconstructionConfig,
                            adjoint_pair_check, image_entropy, naive_bpa,
                            peak_locations, psf_metrics, rt_bpa)
-from rtbpa.propagation import (ImagePathTable, SbrConfig, find_paths_images,
-                               find_paths_sbr)
+from rtbpa.propagation import ImagePathTable, SbrConfig
 from rtbpa.scenes import (scenario_hidden_dipole, scenario_parallel_plates,
                           scenario_three_spheres, scenario_tum_logo)
 
@@ -105,6 +104,15 @@ def test_criterion_1_adjoint_exactness():
 # Criterion 2: SBR / image-method equivalence on the built-in scenes
 
 
+def _valid_legs(scene, voxel, antenna, copol, engine, cfg):
+    """{sequence: length} of the valid legs voxel -> antenna that the path
+    table of `engine` finds."""
+    table = _path_tables(scene, [antenna[None, :]], copol, 2, engine,
+                         cfg)(voxel[None, :])[0]
+    return {seq: lengths[0, 0] for seq, lengths, _, _, valid
+            in table.eval(voxel[None, :]) if valid[0, 0]}
+
+
 def test_criterion_2_sbr_image_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250810)
@@ -121,17 +129,16 @@ def test_criterion_2_sbr_image_equivalence():
             voxel = s.grid.voxel_center(i, j, l)
             antenna = s.arrays.rx_positions[
                 int(rng.integers(0, len(s.arrays.rx_positions)))]
-            exact = {p.hash: p.total_length
-                     for p in find_paths_images(voxel, antenna, s.scene, 2)}
             cfg = SbrConfig(ray_count=100_000, max_bounces=2,
                             capture_radius=0.05,
                             rng_seed=int(rng.integers(0, 2 ** 31)))
-            sbr = {p.hash: p.total_length
-                   for p in find_paths_sbr(voxel, antenna, s.scene, cfg)}
+            exact, sbr = (_valid_legs(s.scene, voxel, antenna,
+                                      s.arrays.copol, engine, cfg)
+                          for engine in ("images", "sbr"))
             assert set(sbr) == set(exact), \
-                f"hash sets differ on {s.name}: {len(sbr)} vs {len(exact)}"
-            for h in exact:
-                worst_len = max(worst_len, abs(exact[h] - sbr[h]))
+                f"sequence sets differ on {s.name}: {len(sbr)} vs {len(exact)}"
+            for seq in exact:
+                worst_len = max(worst_len, abs(exact[seq] - sbr[seq]))
             pair_count += 1
             path_count += len(exact)
     elapsed = time.perf_counter() - t0

@@ -330,17 +330,28 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("edit", ["reversed_sweep", "text_rx_coordinate",
-                                  "zero_grid_dim"])
+                                  "zero_grid_dim", "nan_grid_spacing",
+                                  "nan_source_position",
+                                  "overflow_source_position",
+                                  "huge_int_step"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
         doc["sweep"]["f_start_hz"], doc["sweep"]["f_stop_hz"] = 20e9, 18e9
     elif edit == "zero_grid_dim":
         doc["grid"]["dims"][0] = 0
+    elif edit == "nan_grid_spacing":
+        doc["grid"]["spacing"][0] = float("nan")  # written as the NaN token
+    elif edit == "nan_source_position":
+        doc["sources"][0]["position"][0] = float("nan")
+    elif edit == "overflow_source_position":
+        doc["sources"][0]["position"][0] = 1e308  # made 1e999 below
+    elif edit == "huge_int_step":
+        doc["sweep"]["step_hz"] = 10 ** 400  # no double holds it
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace("1e+308", "1e999"))
     assert main(["forward", "--scenario", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.count("\n") == 1

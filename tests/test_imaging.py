@@ -450,3 +450,17 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             ImageGrid(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
                       dims=dims)
+
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", (np.nan, 1, 1)), ("spacing", (1, np.inf, 1)),
+        ("origin", (np.nan, 0, 0)), ("origin", (0, 0, -np.inf)),
+        ("axes", np.diag([np.nan, 1, 1])),
+    ], ids=["nan_spacing", "inf_spacing", "nan_origin", "inf_origin",
+            "nan_axis"])
+    def test_non_finite_geometry_rejected(self, field, value):
+        # NaN compares false both ways: every range check must fail on it.
+        kwargs = dict(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+                      dims=(2, 2, 1))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field[:4]):
+            ImageGrid(**kwargs)

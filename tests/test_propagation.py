@@ -1,14 +1,14 @@
-"""Path finding (image method + SBR), hashing, and polarization transport."""
+"""Path finding (image method + SBR) and polarization transport, all asked
+of ImagePathTable."""
 
 import numpy as np
 import pytest
 
 from rtbpa.errors import NonPlanarReflector
-from rtbpa.fields import _leg_coefficients, _weighted_legs
+from rtbpa.fields import _leg_coefficients, _path_tables, _weighted_legs
 from rtbpa.geometry import Facet, Scene
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
-                               enumeration_order, find_paths_images,
-                               find_paths_sbr, path_hash, sbr_trace)
+                               enumeration_order, sbr_trace)
 
 
 def ground_scene():
@@ -23,6 +23,15 @@ def table_legs(scene, point, antenna, max_order, copol, orientation=None):
             in table.eval([point], orientation=orientation) if valid[0, 0]}
 
 
+def sbr_table_legs(scene, point, antenna, cfg, copol=(0, 1, 0)):
+    """{sequence: length} of the valid legs point -> antenna among the
+    sequences one SBR launch from `point` captured."""
+    table = _path_tables(scene, [np.array([antenna], dtype=float)], copol,
+                         cfg.max_bounces, "sbr", cfg)([point])[0]
+    return {seq: lengths[0, 0] for seq, lengths, _, _, valid
+            in table.eval([point]) if valid[0, 0]}
+
+
 def leg_weights(scene, point, antenna, max_order, copol):
     """{sequence: (length, weight)} of the legs the reconstruction keeps."""
     table = ImagePathTable(scene, [antenna], max_order, copol)
@@ -30,27 +39,6 @@ def leg_weights(scene, point, antenna, max_order, copol):
                           "phase_only")
     return {seq: (lengths[0, 0], w[0, 0])
             for seq, (lengths, w) in zip(table.sequences, legs) if w[0, 0]}
-
-
-class TestPathHash:
-    def test_empty_is_zero(self):
-        assert path_hash([]) == 0
-
-    def test_singletons_distinct(self):
-        assert path_hash([3]) != path_hash([7])
-
-    def test_order_sensitive(self):
-        assert path_hash([3, 7]) != path_hash([7, 3])
-
-    def test_reversal_differs_unless_palindrome(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            seq = tuple(int(s) for s in rng.integers(0, 6,
-                                                     size=rng.integers(1, 6)))
-            if seq == seq[::-1]:
-                assert path_hash(seq) == path_hash(seq[::-1])
-            else:
-                assert path_hash(seq) != path_hash(seq[::-1])
 
 
 class TestTransportPolarization:
@@ -125,46 +113,44 @@ class TestTransportPolarization:
 
 
 class TestFindPathsImages:
+    """The images engine: the table over every enumerated sequence."""
+
     def test_ground_bounce_lengths(self):
-        paths = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7),
-                                  ground_scene(), 1)
-        assert len(paths) == 2
-        assert paths[0].interaction_sequence == ()
-        assert paths[0].total_length == pytest.approx(0.8, abs=1e-12)
-        assert paths[1].interaction_sequence == (1,)
-        assert paths[1].total_length == pytest.approx(
-            np.sqrt(0.8 ** 2 + 1.4 ** 2), rel=1e-12)
+        legs = table_legs(ground_scene(), (0, 0, 0.7), (0.8, 0, 0.7), 1,
+                          copol=(0, 1, 0))
+        assert list(legs) == [(), (1,)]
+        assert legs[()][0] == pytest.approx(0.8, abs=1e-12)
+        assert legs[(1,)][0] == pytest.approx(np.sqrt(0.8 ** 2 + 1.4 ** 2),
+                                              rel=1e-12)
 
     def test_blocked_los_leaves_bounce(self):
         plate = Facet.rectangle(2, (0.4, -0.5, 0.3), (0, 1, 0), (0, 0, 1))
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
-        paths = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 1)
-        assert [p.interaction_sequence for p in paths] == [(1,)]
+        legs = table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), 1, copol=(0, 1, 0))
+        assert list(legs) == [(1,)]
 
     def test_order_zero_is_los_only(self):
-        paths = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7),
-                                  ground_scene(), 0)
-        assert len(paths) == 1
-        assert paths[0].order == 0
+        legs = table_legs(ground_scene(), (0, 0, 0.7), (0.8, 0, 0.7), 0,
+                          copol=(0, 1, 0))
+        assert list(legs) == [()]
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)),
                     Facet.rectangle(2, (-1, 1.5, 0.0), (2, 0, 0), (0, 0, 2))])
+        checked = 0
         for _ in range(50):
             a = rng.uniform([-1, -1, 0.1], [1, 1, 1.4])
             b = rng.uniform([-1, -1, 0.1], [1, 1, 1.4])
-            for p in find_paths_images(a, b, sc, 2):
-                straight = np.linalg.norm(b - a)
-                assert p.total_length >= straight - 1e-9
-                segs = np.diff(p.points(), axis=0)
-                assert p.total_length == pytest.approx(
-                    np.linalg.norm(segs, axis=1).sum(), abs=1e-9)
-                assert p.vertices.shape[0] == len(p.interaction_sequence)
+            for length, _, _ in table_legs(sc, a, b, 2,
+                                           copol=(0, 1, 0)).values():
+                assert length >= np.linalg.norm(b - a) - 1e-9
+                checked += 1
+        assert checked > 100
 
     def test_max_order_capped(self):
         with pytest.raises(ValueError):
-            find_paths_images((0, 0, 1), (1, 0, 1), ground_scene(), 6)
+            ImagePathTable(ground_scene(), [(1, 0, 1)], 6, copol=(0, 1, 0))
 
     def test_non_planar_kind_rejected(self):
         bogus = Facet(id=9, kind="disk", point=np.zeros(3),
@@ -174,16 +160,18 @@ class TestFindPathsImages:
 
 
 class TestFindPathsSbr:
+    """The SBR engine: `sbr_trace` picks the sequences, the table evaluates
+    them."""
+
     def test_matches_image_method_with_refine(self):
         sc = ground_scene()
         cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=11)
-        sbr = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), sc, cfg)
-        exact = find_paths_images((0, 0, 0.7), (0.8, 0, 0.7), sc, 1)
-        assert {p.hash for p in sbr} == {p.hash for p in exact}
-        for ps, pe in zip(sbr, exact):
-            assert ps.total_length == pytest.approx(pe.total_length,
-                                                    abs=1e-9)
+        sbr = sbr_table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), cfg)
+        exact = table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), 1, copol=(0, 1, 0))
+        assert list(sbr) == list(exact) == [(), (1,)]
+        for seq, length in sbr.items():
+            assert length == exact[seq][0]
 
     def test_trace_returns_sequences_per_antenna(self):
         cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
@@ -229,47 +217,50 @@ class TestFindPathsSbr:
     def test_single_missing_ray_gives_empty(self):
         cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.01,
                         rng_seed=0)
-        assert find_paths_sbr((0, 0, 0.7), (5.0, 0, 0.7), ground_scene(),
-                              cfg) == []
+        assert sbr_trace((0, 0, 0.7), [(5.0, 0, 0.7)], ground_scene(),
+                         cfg) == [set()]
 
     def test_zero_bounce_los_exact(self):
         cfg = SbrConfig(ray_count=20_000, max_bounces=0, capture_radius=0.05,
                         rng_seed=3)
-        paths = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), ground_scene(), cfg)
-        assert len(paths) == 1
-        assert paths[0].total_length == pytest.approx(0.8, abs=1e-12)
+        legs = sbr_table_legs(ground_scene(), (0, 0, 0.7), (0.8, 0, 0.7), cfg)
+        assert list(legs) == [()]
+        assert legs[()] == pytest.approx(0.8, abs=1e-12)
 
     def test_deterministic(self):
         sc = ground_scene()
         cfg = SbrConfig(ray_count=30_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=5)
-        a = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), sc, cfg)
-        b = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), sc, cfg)
-        assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert pa.hash == pb.hash
-            assert pa.total_length == pb.total_length  # bit-for-bit
+        a = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)
+        b = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)
+        assert a == b
+        assert sbr_table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), cfg) == \
+            sbr_table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), cfg)  # bit-for-bit
 
     def test_hash_subset_of_image_method(self):
         # With a modest ray budget the SBR set may be incomplete but never
         # contains a sequence the exact enumeration rejects.
         plate = Facet.rectangle(2, (-1, 1.5, 0.0), (2, 0, 0), (0, 0, 2))
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
-        exact = {p.hash for p in
-                 find_paths_images((0.1, 0, 0.6), (0.5, 0.8, 0.9), sc, 2)}
+        exact = table_legs(sc, (0.1, 0, 0.6), (0.5, 0.8, 0.9), 2,
+                           copol=(0, 1, 0))
         cfg = SbrConfig(ray_count=2_000, max_bounces=2, capture_radius=0.05,
                         rng_seed=7)
-        sbr = {p.hash for p in
-               find_paths_sbr((0.1, 0, 0.6), (0.5, 0.8, 0.9), sc, cfg)}
-        assert sbr <= exact
+        sbr = sbr_table_legs(sc, (0.1, 0, 0.6), (0.5, 0.8, 0.9), cfg)
+        assert sbr and set(sbr) <= set(exact)
 
     def test_blocked_los_not_captured(self):
         plate = Facet.rectangle(2, (0.4, -0.5, 0.3), (0, 1, 0), (0, 0, 1))
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
         cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=9)
-        paths = find_paths_sbr((0, 0, 0.7), (0.8, 0, 0.7), sc, cfg)
-        assert all(p.order >= 1 for p in paths)
+        captured = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)[0]
+        assert captured and () not in captured
+
+    def test_nan_capture_radius_rejected(self):
+        # A NaN radius would capture nothing, silently.
+        with pytest.raises(ValueError, match="capture_radius"):
+            SbrConfig(capture_radius=float("nan"))
 
 
 class TestPairWavefronts:
@@ -303,10 +294,10 @@ class TestPairWavefronts:
         lr, wr = leg_weights(sc, (0, 0, 0.7), (-0.5, 0.6, 0.8), 1,
                              (0, 1, 0))[()]
         assert wt * wr == 1.0
-        tx = find_paths_images((0, 0, 0.7), (0.8, 0.1, 0.9), sc, 0)
-        rx = find_paths_images((0, 0, 0.7), (-0.5, 0.6, 0.8), sc, 0)
-        assert lt + lr == pytest.approx(
-            tx[0].total_length + rx[0].total_length, abs=1e-12)
+        point = np.array([0, 0, 0.7])
+        straight = (np.linalg.norm(np.array([0.8, 0.1, 0.9]) - point)
+                    + np.linalg.norm(np.array([-0.5, 0.6, 0.8]) - point))
+        assert lt + lr == pytest.approx(straight, abs=1e-12)
 
     def test_los_times_s_pol_bounce_delta_one(self):
         sc = ground_scene()

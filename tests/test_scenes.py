@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rtbpa.errors import ScenarioError
-from rtbpa.geometry import occluded, segments_blocked
-from rtbpa.propagation import ImagePathTable, find_paths_images
+from rtbpa.geometry import segments_blocked
+from rtbpa.propagation import ImagePathTable
 from rtbpa.scenes import (GROUND_ID, SCENARIOS, load_scenario, save_scenario,
                           scenario_parallel_plates, scenario_three_spheres,
                           scenario_tum_logo, scenario_text)
@@ -33,8 +33,8 @@ class TestTumLogo:
 
     def test_sample_segment_occluded(self):
         s = scenario_tum_logo(n_rx_x=12, n_rx_y=10)
-        assert occluded(s.sources[0].position, s.arrays.rx_positions[57],
-                        s.scene)
+        assert segments_blocked(s.sources[0].position,
+                                s.arrays.rx_positions[57], s.scene)
 
     def test_every_pair_has_ground_bounce(self):
         s = scenario_tum_logo(n_rx_x=12, n_rx_y=10)
@@ -77,8 +77,9 @@ class TestThreeSpheres:
 
     def test_tx_sees_targets(self):
         s = scenario_three_spheres(n_rx_x=10, n_rx_y=10)
-        for t in s.targets:
-            assert not occluded(s.arrays.tx_positions[0], t.position, s.scene)
+        targets = np.array([t.position for t in s.targets])
+        assert not segments_blocked(s.arrays.tx_positions[0], targets,
+                                    s.scene).any()
 
 
 class TestParallelPlates:
@@ -100,10 +101,10 @@ class TestParallelPlates:
         s = scenario_parallel_plates()
         center = s.sources[0].position
         rx_mid = np.array([0.0, 1.0, 0.7])
-        paths = find_paths_images(center, rx_mid, s.scene, 1)
-        assert len(paths) == 3  # LOS plus one bounce off each plate
-        orders = sorted(p.order for p in paths)
-        assert orders == [0, 1, 1]
+        table = ImagePathTable(s.scene, [rx_mid], 1, s.arrays.copol)
+        valid = [seq for seq, _, _, _, ok in table.eval([center]) if ok[0, 0]]
+        # LOS plus one bounce off each plate
+        assert sorted(len(seq) for seq in valid) == [0, 1, 1]
 
     def test_grid_first_axis_is_x(self):
         s = scenario_parallel_plates()
