@@ -4,7 +4,7 @@ polarization-aware back-projection adjoint and synthetic forward models."""
 from .errors import (EmptyImage, EmptyInput, NonPlanarReflector,
                      ScenarioError, ShapeMismatch, Singular, UnknownReference,
                      UnresolvedLobe)
-from .geometry import Facet, Hit, Scene, intersect
+from .geometry import Facet, Scene, intersect
 from .propagation import ImagePathTable, SbrConfig
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
                      MeasurementSet, PointScatterer, add_noise, dipole_field,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "DipoleSource", "EmptyImage", "EmptyInput", "Facet",
-    "FrequencySweep", "Hit", "ImageGrid", "ImagePathTable", "MeasurementSet",
+    "FrequencySweep", "ImageGrid", "ImagePathTable", "MeasurementSet",
     "NonPlanarReflector", "PointScatterer", "PsfMetrics",
     "ReconstructionConfig", "SCENARIOS", "SbrConfig", "Scenario",
     "ScenarioError", "Scene", "ShapeMismatch", "Singular", "UnknownReference",

@@ -21,9 +21,10 @@ import numpy as np
 from . import io as rio
 from .errors import (EmptyImage, RtbpaError, ScenarioError, ShapeMismatch,
                      UnknownReference, UnresolvedLobe)
-from .imaging import (ImageGrid, ReconstructionConfig, image_entropy,
-                      naive_bpa, peak_locations, psf_metrics, rt_bpa)
-from .propagation import MAX_ORDER, SbrConfig
+from .imaging import (MAX_VOXELS, ImageGrid, ReconstructionConfig,
+                      image_entropy, naive_bpa, peak_locations, psf_metrics,
+                      rt_bpa)
+from .propagation import MAX_ORDER, MAX_RAYS, SbrConfig
 from .scenes import (SCENARIOS, Scenario, get_scenario, save_scenario,
                      scenario_text)
 from .fields import synthesize_radiation_data, synthesize_scattering_data
@@ -72,13 +73,16 @@ def _check_flag_ranges(args) -> None:
     if not 0 <= args.max_order <= MAX_ORDER:
         raise ScenarioError(f"--max-order must be in 0..{MAX_ORDER}, "
                             f"got {args.max_order}")
-    if args.rays < 1:
-        raise ScenarioError(f"--rays must be >= 1, got {args.rays}")
+    if not 1 <= args.rays <= MAX_RAYS:
+        raise ScenarioError(f"--rays must be in 1..{MAX_RAYS}, got {args.rays}")
     if not args.capture_radius > 0:
         raise ScenarioError(
             f"--capture-radius must be > 0, got {args.capture_radius}")
     if args.grid and min(args.grid) < 1:
         raise ScenarioError(f"--grid must be >= 1, got {args.grid}")
+    if args.grid and math.prod(args.grid) > MAX_VOXELS:
+        raise ScenarioError(f"--grid of {math.prod(args.grid)} voxels exceeds "
+                            f"the cap of {MAX_VOXELS}")
     if args.workers is not None and args.workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
 

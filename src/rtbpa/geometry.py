@@ -136,14 +136,6 @@ def mirror_points(pts: np.ndarray, plane: Facet) -> np.ndarray:
     return pts - 2.0 * dist[..., None] * n
 
 
-@dataclass(frozen=True)
-class Hit:
-    t: float
-    point: np.ndarray
-    normal: np.ndarray
-    surface_id: int
-
-
 class Scene:
     """Immutable collection of PEC facets with unique surface ids.
 
@@ -214,21 +206,18 @@ def _ray_facet_t(facet: Facet, o: np.ndarray, d: np.ndarray,
     return t if bool(facet.contains(x, margin=-1e-12)) else np.inf
 
 
-def intersect(origin, direction, scene: Scene,
-              t_min: float = EPS_SELF) -> Optional[Hit]:
-    """Nearest hit of one ray against the scene; the scalar oracle that the
+def intersect(origin, direction, scene: Scene, t_min: float = EPS_SELF):
+    """(t, facet_index) of the nearest hit of one ray, (inf, -1) on a miss,
+    with the index into `scene.all_facets`; the scalar oracle that the
     batched `rays_nearest_hit` is tested against."""
     o = as_vec3(origin)
     d = as_vec3(direction)
-    best_t, best_f = np.inf, None
-    for f in scene.all_facets:
+    best_t, best_i = np.inf, -1
+    for i, f in enumerate(scene.all_facets):
         t = _ray_facet_t(f, o, d, t_min, best_t)
         if t < best_t:
-            best_t, best_f = t, f
-    if best_f is None:
-        return None
-    return Hit(t=best_t, point=o + best_t * d, normal=best_f.normal,
-               surface_id=best_f.id)
+            best_t, best_i = t, i
+    return best_t, best_i
 
 
 def _segment_cross_mask(facet: Facet, a: np.ndarray, b: np.ndarray,

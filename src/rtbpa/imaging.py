@@ -24,6 +24,9 @@ from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig
 
 _CHUNK = 128  # voxels per task; fixed so results do not depend on worker count
+# Largest grid: its complex values alone take 16 bytes a voxel (256 MiB here),
+# and every voxel costs a path-table evaluation.
+MAX_VOXELS = 1 << 24
 
 
 @dataclass
@@ -59,6 +62,9 @@ class ImageGrid:
         self.dims = tuple(int(d) for d in self.dims)
         if min(self.dims) < 1:
             raise ValueError(f"grid dims must be >= 1, got {self.dims}")
+        if math.prod(self.dims) > MAX_VOXELS:
+            raise ValueError(f"grid of {math.prod(self.dims)} voxels exceeds "
+                             f"the cap of {MAX_VOXELS}")
         if self.values is None:
             self.values = np.zeros(self.dims, dtype=np.complex128)
         else:

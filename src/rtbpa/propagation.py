@@ -24,6 +24,13 @@ from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
 CROSS_POL_THRESHOLD = 1e-3
 # Sequence count grows as ~facets**order; deeper orders are refused.
 MAX_ORDER = 5
+# Largest SBR launch: each ray holds ~100-200 bytes of launch state (start,
+# direction, sequence, per-bounce copies), so 10^7 rays stay near 2 GB.
+MAX_RAYS = 10_000_000
+# Antennas per bounding sphere of the SBR capture prefilter.
+CLUSTER_SIZE = 64
+# Most (ray, antenna) pairs one exact SBR capture test holds at a time.
+PAIR_BLOCK = 1 << 16
 
 _PLANAR_KINDS = {"triangle", "rectangle", "plane"}
 
@@ -36,8 +43,8 @@ class SbrConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.ray_count < 1:
-            raise ValueError("ray_count must be >= 1")
+        if not 1 <= self.ray_count <= MAX_RAYS:
+            raise ValueError(f"ray_count must be in 1..{MAX_RAYS}")
         if self.max_bounces < 0:
             raise ValueError("max_bounces must be >= 0")
         if not (self.capture_radius > 0):  # NaN fails it too
@@ -84,6 +91,36 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _antenna_clusters(antennas: np.ndarray):
+    """Split the antennas into groups of at most CLUSTER_SIZE by recursive
+    median splits along the widest axis; yield (members, center, radius) of
+    each group's bounding sphere."""
+    stack = [np.arange(antennas.shape[0])]
+    while stack:
+        members = stack.pop()
+        if members.size == 0:
+            continue
+        pts = antennas[members]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        if members.size > CLUSTER_SIZE:
+            order = np.argsort(pts[:, np.argmax(hi - lo)], kind="stable")
+            half = members.size // 2
+            stack += [members[order[:half]], members[order[half:]]]
+            continue
+        center = 0.5 * (lo + hi)
+        yield members, center, float(np.sqrt(
+            np.einsum("ij,ij->i", pts - center, pts - center).max()))
+
+
+def _segment_dist2(o: np.ndarray, d: np.ndarray, t_hit: np.ndarray,
+                   target: np.ndarray) -> np.ndarray:
+    """Squared distance from each ray segment o + t d, 0 <= t <= t_hit, to
+    its target point (one point, or one per segment)."""
+    tc = np.clip(np.einsum("ij,ij->i", target - o, d), 0.0, t_hit)
+    closest = o + tc[:, None] * d
+    return np.einsum("ij,ij->i", closest - target, closest - target)
+
+
 def sbr_trace(points, antennas, scene: Scene,
               cfg: SbrConfig) -> List[Set[Tuple[int, ...]]]:
     """Shoot cfg.ray_count rays from a point or an (N, 3) point block; return,
@@ -95,6 +132,16 @@ def sbr_trace(points, antennas, scene: Scene,
     segment passes within cfg.capture_radius of it. A captured sequence is
     only a candidate: the exact path of each one (and whether it exists)
     comes from the image method.
+
+    The capture test runs in two steps. The antennas are grouped into
+    bounding spheres once per launch, and a (segment, group) pair is dropped
+    when the segment passes farther than the sphere's radius plus the capture
+    radius (plus a rounding margin) from its center, so that no antenna of
+    the group can capture it. The surviving (segment, antenna) pairs are
+    then tested exactly, in flat
+    blocks of at most PAIR_BLOCK pairs, with the per-pair arithmetic of
+    `_segment_dist2`; the capture sets therefore do not depend on the
+    grouping or the blocks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
@@ -108,6 +155,12 @@ def sbr_trace(points, antennas, scene: Scene,
     facet_ids = np.array([f.id for f in scene.all_facets], dtype=np.int64)
     facet_normals = (np.array([f.normal for f in scene.all_facets])
                      if scene.all_facets else np.empty((0, 3)))
+    clusters = list(_antenna_clusters(antennas))
+    r2 = cfg.capture_radius ** 2
+    # The computed distances of a captured pair and of its group's center
+    # each err by a few ulps of the coordinates involved; this margin is
+    # orders of magnitude above that.
+    scale = 1.0 + (float(np.abs(antennas).max()) if antennas.size else 0.0)
 
     for bounce in range(cfg.max_bounces + 1):
         idx = np.flatnonzero(alive)
@@ -116,13 +169,22 @@ def sbr_trace(points, antennas, scene: Scene,
         o = origins[idx]
         d = dirs[idx]
         t_hit, hit_fi = rays_nearest_hit(o, d, scene)
-        for ai, antenna in enumerate(antennas):
-            tc = np.einsum("ij,ij->i", antenna - o, d)
-            tc = np.clip(tc, 0.0, np.where(np.isfinite(t_hit), t_hit, np.inf))
-            closest = o + tc[:, None] * d
-            d2 = np.einsum("ij,ij->i", closest - antenna, closest - antenna)
-            hits = idx[d2 <= cfg.capture_radius ** 2]
-            captured[ai].update(map(tuple, seqs[hits, :bounce].tolist()))
+        margin = 1e-9 * (scale + np.abs(o).max(axis=1))
+        for members, center, radius in clusters:
+            near = np.flatnonzero(_segment_dist2(o, d, t_hit, center) <= (
+                radius + cfg.capture_radius + margin) ** 2)
+            step = max(1, PAIR_BLOCK // members.size)
+            for lo in range(0, near.size, step):
+                ray = np.repeat(near[lo:lo + step], members.size)
+                ant = np.tile(members, min(step, near.size - lo))
+                hits = _segment_dist2(o[ray], d[ray], t_hit[ray],
+                                      antennas[ant]) <= r2
+                if not hits.any():
+                    continue
+                rows = np.unique(np.column_stack(
+                    [ant[hits], seqs[idx[ray[hits]], :bounce]]), axis=0)
+                for ai, *seq in rows.tolist():
+                    captured[ai].add(tuple(seq))
         if bounce == cfg.max_bounces:
             break
         hit_ok = np.isfinite(t_hit)

@@ -319,6 +319,7 @@ def test_bad_container_field_exits_2(plates_container, tmp_path, capsys,
 @pytest.mark.parametrize("flags", [
     ["--max-order", "-1"], ["--max-order", "6"], ["--rays", "0"],
     ["--capture-radius", "0"], ["--grid", "0", "4"], ["--workers", "0"],
+    ["--rays", "1000000000000"], ["--grid", "100000", "100000"],
 ], ids=lambda flags: "_".join(flags).lstrip("-"))
 def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
     out = tmp_path / "o"
@@ -333,7 +334,7 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "zero_grid_dim", "nan_grid_spacing",
                                   "nan_source_position",
                                   "overflow_source_position",
-                                  "huge_int_step"])
+                                  "huge_int_step", "huge_grid"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -348,6 +349,8 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
         doc["sources"][0]["position"][0] = 1e308  # made 1e999 below
     elif edit == "huge_int_step":
         doc["sweep"]["step_hz"] = 10 ** 400  # no double holds it
+    elif edit == "huge_grid":
+        doc["grid"]["dims"] = [100_000, 100_000, 1]  # 149 GiB of values
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"

@@ -56,15 +56,13 @@ class TestMirrorPoint:
 class TestIntersect:
     def test_ray_to_ground(self):
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1))])
-        h = intersect((0, 0, 1), (0, 0, -1), sc)
-        assert h is not None
-        assert h.t == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(h.point, (0, 0, 0))
-        assert h.surface_id == 1
+        t, fi = intersect((0, 0, 1), (0, 0, -1), sc)
+        assert t == pytest.approx(1.0, abs=1e-12)
+        assert sc.all_facets[fi].id == 1
 
     def test_parallel_ray_misses(self):
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1))])
-        assert intersect((0, 0, 1), (1, 0, 0), sc) is None
+        assert intersect((0, 0, 1), (1, 0, 0), sc) == (np.inf, -1)
 
     def test_shared_edge_watertight(self):
         # Two triangles sharing the edge x in [0,1], y = 0: a ray through the
@@ -72,9 +70,9 @@ class TestIntersect:
         t1 = Facet.triangle(1, (0, 0, 0), (1, 0, 0), (0, 1, 0))
         t2 = Facet.triangle(2, (0, 0, 0), (1, -1, 0), (1, 0, 0))
         sc = Scene([t1, t2])
-        h = intersect((0.5, 0.0, 1.0), (0, 0, -1), sc)
-        assert h is not None
-        assert h.t == pytest.approx(1.0, abs=1e-12)
+        t, fi = intersect((0.5, 0.0, 1.0), (0, 0, -1), sc)
+        assert fi in (0, 1)
+        assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_tracer_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -84,12 +82,8 @@ class TestIntersect:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         ts, idx = rays_nearest_hit(origins, dirs, sc)
         for i in range(200):
-            h = intersect(origins[i], dirs[i], sc)
-            if h is None:
-                assert not np.isfinite(ts[i])
-            else:
-                assert ts[i] == pytest.approx(h.t, abs=1e-10)
-                assert sc.all_facets[idx[i]].id == h.surface_id
+            assert intersect(origins[i], dirs[i], sc) == \
+                (pytest.approx(ts[i], abs=1e-10), idx[i])
 
 
 class TestOccluded:

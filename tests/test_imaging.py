@@ -451,6 +451,22 @@ class TestImageGrid:
             ImageGrid(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
                       dims=dims)
 
+    def test_dims_above_cap_rejected(self):
+        # 10^10 voxels would be 149 GiB of values: refused before allocating.
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            ImageGrid(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+                      dims=(100_000, 100_000, 1))
+
+    def test_read_image_above_cap_rejected(self, tmp_path, monkeypatch):
+        from rtbpa import imaging, io as rio
+        from rtbpa.errors import ScenarioError
+        path = tmp_path / "image.rtbpa"
+        rio.write_image(path, ImageGrid(origin=(0, 0, 0), axes=np.eye(3),
+                                        spacing=(1, 1, 1), dims=(3, 3, 1)))
+        monkeypatch.setattr(imaging, "MAX_VOXELS", 8)
+        with pytest.raises(ScenarioError, match="exceeds the cap of 8"):
+            rio.read_image(path)
+
     @pytest.mark.parametrize("field, value", [
         ("spacing", (np.nan, 1, 1)), ("spacing", (1, np.inf, 1)),
         ("origin", (np.nan, 0, 0)), ("origin", (0, 0, -np.inf)),

@@ -4,11 +4,13 @@ of ImagePathTable."""
 import numpy as np
 import pytest
 
+from rtbpa import propagation
 from rtbpa.errors import NonPlanarReflector
 from rtbpa.fields import _leg_coefficients, _path_tables, _weighted_legs
-from rtbpa.geometry import Facet, Scene
+from rtbpa.geometry import GRAZING_TOL, Facet, Scene, rays_nearest_hit
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
                                enumeration_order, sbr_trace)
+from rtbpa.scenes import get_scenario
 
 
 def ground_scene():
@@ -30,6 +32,55 @@ def sbr_table_legs(scene, point, antenna, cfg, copol=(0, 1, 0)):
                          cfg.max_bounces, "sbr", cfg)([point])[0]
     return {seq: lengths[0, 0] for seq, lengths, _, _, valid
             in table.eval([point]) if valid[0, 0]}
+
+
+def reference_trace(points, antennas, scene, cfg):
+    """The SBR launch with one capture pass per antenna over all live rays:
+    the oracle of `sbr_trace`'s prefiltered, blocked capture test."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = cfg.ray_count
+    dirs = propagation._uniform_sphere(rng, n)
+    origins = points[np.arange(n) * points.shape[0] // n]
+    alive = np.ones(n, dtype=bool)
+    seqs = np.full((n, cfg.max_bounces), -1, dtype=np.int64)
+    captured = [set() for _ in antennas]
+    facet_ids = np.array([f.id for f in scene.all_facets], dtype=np.int64)
+    facet_normals = (np.array([f.normal for f in scene.all_facets])
+                     if scene.all_facets else np.empty((0, 3)))
+    for bounce in range(cfg.max_bounces + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        o = origins[idx]
+        d = dirs[idx]
+        t_hit, hit_fi = rays_nearest_hit(o, d, scene)
+        for ai, antenna in enumerate(antennas):
+            tc = np.einsum("ij,ij->i", antenna - o, d)
+            tc = np.clip(tc, 0.0, np.where(np.isfinite(t_hit), t_hit, np.inf))
+            closest = o + tc[:, None] * d
+            d2 = np.einsum("ij,ij->i", closest - antenna, closest - antenna)
+            hits = idx[d2 <= cfg.capture_radius ** 2]
+            captured[ai].update(map(tuple, seqs[hits, :bounce].tolist()))
+        if bounce == cfg.max_bounces:
+            break
+        hit_ok = np.isfinite(t_hit)
+        if np.any(hit_ok):
+            cosines = np.abs(np.einsum("ij,ij->i", d, facet_normals[
+                np.where(hit_ok, hit_fi, 0)]))
+            hit_ok &= cosines > GRAZING_TOL
+        alive[idx] = hit_ok
+        keep = np.flatnonzero(hit_ok)
+        if keep.size == 0:
+            break
+        rays = idx[keep]
+        nrm = facet_normals[hit_fi[keep]]
+        dn = np.einsum("ij,ij->i", d[keep], nrm)
+        dirs[rays] = d[keep] - 2.0 * dn[:, None] * nrm
+        origins[rays] = o[keep] + t_hit[keep, None] * d[keep]
+        seqs[rays, bounce] = facet_ids[hit_fi[keep]]
+    return captured
 
 
 def leg_weights(scene, point, antenna, max_order, copol):
@@ -257,10 +308,87 @@ class TestFindPathsSbr:
         captured = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)[0]
         assert captured and () not in captured
 
+    def test_ray_count_above_cap_rejected(self):
+        # Refused before any ray array is built.
+        with pytest.raises(ValueError, match="ray_count"):
+            SbrConfig(ray_count=propagation.MAX_RAYS + 1)
+        assert SbrConfig(ray_count=propagation.MAX_RAYS).ray_count == \
+            propagation.MAX_RAYS
+
     def test_nan_capture_radius_rejected(self):
         # A NaN radius would capture nothing, silently.
         with pytest.raises(ValueError, match="capture_radius"):
             SbrConfig(capture_radius=float("nan"))
+
+
+def _packed_case():
+    """100 antennas within 5 cm of a source 10 cm over a ground plane, with
+    a 20 cm capture radius: every pair of a first segment and an antenna
+    passes the prefilter and is captured, and bounced rays are captured
+    too."""
+    rng = np.random.default_rng(21)
+    source = np.array([0.0, 0.0, 0.1])
+    offsets = rng.normal(size=(100, 3))
+    offsets *= rng.uniform(0.0, 0.05, (100, 1)) / np.linalg.norm(
+        offsets, axis=1, keepdims=True)
+    return (source, source + offsets, ground_scene(),
+            SbrConfig(ray_count=1_000, max_bounces=2, capture_radius=0.2,
+                      rng_seed=4))
+
+
+def _capture_cases():
+    plates = get_scenario("parallel_plates")
+    for seed in range(4):
+        yield (f"plates_seed{seed}", plates.sources[0].position,
+               plates.arrays.rx_positions, plates.scene,
+               SbrConfig(ray_count=20_000, max_bounces=2, capture_radius=0.05,
+                         rng_seed=seed))
+    hidden = get_scenario("hidden_dipole")
+    flat = np.array([0, 4000, 8256, 12000, 16383])
+    points = hidden.grid.centers_block(0, hidden.grid.n_voxels)[flat]
+    yield ("hidden_grid_points", points, hidden.arrays.rx_positions,
+           hidden.scene, SbrConfig(ray_count=10_000, max_bounces=2,
+                                   capture_radius=0.05, rng_seed=2))
+    spheres = get_scenario("three_spheres")
+    yield ("spheres_tx_rx", [t.position for t in spheres.targets],
+           np.concatenate([spheres.arrays.tx_positions,
+                           spheres.arrays.rx_positions]),
+           spheres.scene, SbrConfig(ray_count=10_000, max_bounces=1,
+                                    capture_radius=0.05, rng_seed=3))
+    plate = Facet.rectangle(2, (-1, 1.5, 0.0), (2, 0, 0), (0, 0, 2))
+    two = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
+    cfg = SbrConfig(ray_count=3_000, max_bounces=2, capture_radius=0.1,
+                    rng_seed=7)
+    yield "no_antennas", (0.1, 0, 0.6), np.zeros((0, 3)), two, cfg
+    yield "one_antenna", (0.1, 0, 0.6), [(0.5, 0.8, 0.9)], two, cfg
+    yield ("antennas_at_one_point", (0.1, 0, 0.6),
+           np.tile([0.5, 0.8, 0.9], (100, 1)), two, cfg)
+    yield ("no_facets", (0.1, 0, 0.6),
+           np.random.default_rng(5).uniform(-1, 1, (150, 3)), Scene([]),
+           cfg)
+    yield ("packed_at_source",) + _packed_case()
+
+
+class TestCaptureOracle:
+    """`sbr_trace` captures exactly what one pass per antenna captures."""
+
+    @pytest.mark.parametrize("case", list(_capture_cases()),
+                             ids=lambda case: case[0])
+    def test_matches_per_antenna_loop(self, case):
+        _, points, antennas, scene, cfg = case
+        expected = reference_trace(points, antennas, scene, cfg)
+        assert sbr_trace(points, antennas, scene, cfg) == expected
+        if len(expected) > 1 and scene.all_facets:
+            assert any(len(seqs) > 1 for seqs in expected)
+
+    def test_packed_antennas_over_small_pair_blocks(self, monkeypatch):
+        # Each block holds one ray's pairs with a group (two groups of 50),
+        # so every bounce flushes hundreds of blocks.
+        source, antennas, scene, cfg = _packed_case()
+        expected = reference_trace(source, antennas, scene, cfg)
+        assert expected == [{(), (1,)}] * len(antennas)
+        monkeypatch.setattr(propagation, "PAIR_BLOCK", 64)
+        assert sbr_trace(source, antennas, scene, cfg) == expected
 
 
 class TestPairWavefronts:
