@@ -220,6 +220,17 @@ def cmd_reconstruct(manifest: RunManifest, data_file: str,
     return EXIT_OK
 
 
+def _read_metrics(run: str) -> dict:
+    path = Path(run) / "metrics.json"
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def cmd_compare(run_a: str, run_b: str, out_file: Optional[str]) -> int:
     grid_a = rio.read_image(Path(run_a) / "image.rtbpa")
     grid_b = rio.read_image(Path(run_b) / "image.rtbpa")
@@ -229,8 +240,8 @@ def cmd_compare(run_a: str, run_b: str, out_file: Optional[str]) -> int:
             and np.array_equal(grid_a.spacing, grid_b.spacing))
     if not same:
         raise ShapeMismatch("runs use different grids")
-    metrics_a = json.loads((Path(run_a) / "metrics.json").read_text())
-    metrics_b = json.loads((Path(run_b) / "metrics.json").read_text())
+    metrics_a = _read_metrics(run_a)
+    metrics_b = _read_metrics(run_b)
     report = {"run_a": str(run_a), "run_b": str(run_b), "deltas": {}}
     for key in ("entropy", "fwhm_x_m", "fwhm_y_m"):
         va, vb = metrics_a.get(key), metrics_b.get(key)

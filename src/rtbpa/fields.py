@@ -22,6 +22,20 @@ C0 = 299792458.0  # m/s
 
 AmplitudeMode = Literal["phase_only", "far_field"]
 
+# Largest sample tensor n_tx * n_rx * n_k, and so also the largest sweep:
+# 1 GiB of complex128 samples, of which forward synthesis holds about three
+# at once. Checked from the sizes before any array is built.
+MAX_SAMPLES = 1 << 26
+
+
+def _check_sample_count(n_tx: int, n_rx: int, n_k: int) -> None:
+    """Raise ValueError if an (n_tx, n_rx, n_k) sample tensor exceeds
+    MAX_SAMPLES."""
+    n = n_tx * n_rx * n_k
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{n_tx} x {n_rx} x {n_k} = {n} samples (tx x rx x "
+                         f"wavenumber) exceed the cap of {MAX_SAMPLES}")
+
 
 @dataclass(frozen=True)
 class DipoleSource:
@@ -60,8 +74,9 @@ class FrequencySweep:
             raise ValueError("sweep f_start must be <= f_stop")
         if self.step <= 0:
             raise ValueError("sweep step must be > 0")
-        if (self.f_stop - self.f_start) / self.step >= 2 ** 32:
-            raise ValueError("sweep must have fewer than 2**32 points")
+        if self.count > MAX_SAMPLES:
+            raise ValueError(f"sweep of {self.count} points exceeds the cap "
+                             f"of {MAX_SAMPLES} samples")
 
     @property
     def count(self) -> int:
@@ -274,8 +289,9 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
     """Multipath radiation data T[rx, k] for a set of dipole sources."""
     if not sources:
         raise EmptyInput("no sources")
-    kvals = sweep.k_values
     rx = arrays.rx_positions
+    _check_sample_count(1, rx.shape[0], sweep.count)
+    kvals = sweep.k_values
     samples = np.zeros((1, rx.shape[0], kvals.size), dtype=np.complex128)
     tables = _path_tables(scene, [rx], arrays.copol, max_order, path_engine,
                           sbr)
@@ -303,11 +319,12 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     """
     if not targets:
         raise EmptyInput("no targets")
-    kvals = sweep.k_values
     tx = arrays.tx_positions
     rx = arrays.rx_positions
     if tx.shape[0] == 0 or rx.shape[0] == 0:
         raise EmptyInput("empty antenna array")
+    _check_sample_count(tx.shape[0], rx.shape[0], sweep.count)
+    kvals = sweep.k_values
     samples = np.zeros((tx.shape[0], rx.shape[0], kvals.size),
                        dtype=np.complex128)
     tables = _path_tables(scene, [tx, rx], arrays.copol, max_order,

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .fields import FrequencySweep, MeasurementSet
+from .fields import FrequencySweep, MeasurementSet, _check_sample_count
 from .imaging import ImageGrid
 
 MAGIC = b"RTBPA1"
@@ -66,6 +66,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _open(path):
+    """The file opened for reading; an unreadable path is an input error."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ScenarioError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def _check_magic(fh, expect_kind: int, path) -> None:
     magic = _read_exact(fh, 6, "magic")
     if magic != MAGIC:
@@ -89,7 +98,7 @@ def _check_size(fh, path, payload: int) -> None:
 
 
 def read_measurements(path) -> MeasurementSet:
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         _check_magic(fh, KIND_MEASUREMENT, path)
         mode = _read_exact(fh, 1, "mode")[0]
         n_tx, n_rx, n_k = struct.unpack("<III", _read_exact(fh, 12, "dims"))
@@ -98,6 +107,10 @@ def read_measurements(path) -> MeasurementSet:
         copol = np.frombuffer(_read_exact(fh, 24, "copol"), "<f8").copy()
         _check_size(fh, path, 24 * n_tx + 24 * n_rx + 8 * n_k
                     + 8 * n_tx * n_rx * n_k)
+        try:
+            _check_sample_count(n_tx, n_rx, n_k)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
         tx = np.frombuffer(_read_exact(fh, 24 * n_tx, "tx positions"),
                            "<f8").reshape(n_tx, 3).copy()
         rx = np.frombuffer(_read_exact(fh, 24 * n_rx, "rx positions"),
@@ -137,7 +150,7 @@ def write_image(path, grid: ImageGrid) -> None:
 
 
 def read_image(path) -> ImageGrid:
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         _check_magic(fh, KIND_IMAGE, path)
         dims = struct.unpack("<III", _read_exact(fh, 12, "dims"))
         origin = np.frombuffer(_read_exact(fh, 24, "origin"), "<f8").copy()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ScenarioError, UnknownReference
 from .fields import (AntennaArray, DipoleSource, FrequencySweep,
-                     PointScatterer)
+                     PointScatterer, _check_sample_count)
 from .geometry import Facet, Scene, segments_blocked
 from .imaging import ImageGrid
 from .propagation import ImagePathTable
@@ -521,6 +521,8 @@ def _scenario_from_doc(doc) -> Scenario:
                            f_stop=rw.get("f_stop_hz", float),
                            step=rw.get("step_hz", float))
     rw.finish()
+    _check_sample_count(tx.shape[0] if mode == "scattering" else 1,
+                        rx.shape[0], sweep.count)
 
     rg = r.sub("grid")
     axes_raw = rg.get("axes", list)

@@ -334,7 +334,8 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "zero_grid_dim", "nan_grid_spacing",
                                   "nan_source_position",
                                   "overflow_source_position",
-                                  "huge_int_step", "huge_grid"])
+                                  "huge_int_step", "huge_grid", "huge_sweep",
+                                  "huge_samples"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -351,6 +352,11 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
         doc["sweep"]["step_hz"] = 10 ** 400  # no double holds it
     elif edit == "huge_grid":
         doc["grid"]["dims"] = [100_000, 100_000, 1]  # 149 GiB of values
+    elif edit == "huge_sweep":
+        doc["sweep"]["step_hz"] = 2.0  # 10^9 points: an 8 GB frequency axis
+    elif edit == "huge_samples":
+        # 2^24 + 1 points pass the sweep cap; times 18 rx they do not.
+        doc["sweep"]["step_hz"] = 2e9 / 2 ** 24
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
@@ -358,6 +364,45 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     assert main(["forward", "--scenario", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_missing_data_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_file"
+    assert main(["reconstruct", "--scenario", "parallel_plates",
+                 "--data", str(missing), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+@pytest.mark.parametrize("present", [(), ("image.rtbpa",)],
+                         ids=["no_run_dirs", "no_metrics"])
+def test_compare_missing_input_exits_2(tmp_path, capsys, present):
+    runs = [tmp_path / "no_such_dir_a", tmp_path / "no_such_dir_b"]
+    for run in runs:
+        if present:
+            run.mkdir()
+            rio.write_image(run / "image.rtbpa", ImageGrid(
+                origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+                dims=(2, 2, 1)))
+    assert main(["compare", "--run-a", str(runs[0]),
+                 "--run-b", str(runs[1])]) == 2
+    err = capsys.readouterr().err
+    missing = "metrics.json" if present else "image.rtbpa"
+    assert err.count("\n") == 1 and missing in err
+
+
+def test_container_above_sample_cap_exits_2(plates_container, tmp_path,
+                                            capsys, monkeypatch):
+    # 1 x 480 x 21 = 10080 samples against a cap of 10000.
+    from rtbpa import fields
+    monkeypatch.setattr(fields, "MAX_SAMPLES", 10_000)
+    data = tmp_path / "plates.rtbpa"
+    data.write_bytes(plates_container)
+    assert main(["reconstruct", "--scenario", "parallel_plates",
+                 "--data", str(data), "--max-order", "0", "--grid", "1", "1",
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceed the cap of 10000" in err
 
 
 def test_internal_lookup_error_not_an_exit_code(free_space_file, tmp_path,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from rtbpa import fields
 from rtbpa.errors import EmptyInput, Singular
-from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
-                          MeasurementSet, PointScatterer, add_noise,
-                          dipole_field, image_dipole,
+from rtbpa.fields import (MAX_SAMPLES, AntennaArray, DipoleSource,
+                          FrequencySweep, MeasurementSet, PointScatterer,
+                          add_noise, dipole_field, image_dipole,
                           synthesize_radiation_data,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
@@ -110,6 +111,35 @@ class TestSweep:
             FrequencySweep(20e9, 18e9, 1e8)
         with pytest.raises(ValueError):
             FrequencySweep(18e9, 20e9, 0.0)
+
+
+class TestSampleBudget:
+    def test_sweep_above_cap_rejected(self):
+        # 18-20 GHz in 2 Hz steps is 10^9 points: refused before any array.
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            FrequencySweep(18e9, 20e9, 2.0)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            FrequencySweep(0.0, float(MAX_SAMPLES), 1.0)
+
+    def test_sweep_at_cap_accepted(self):
+        assert FrequencySweep(0.0, float(MAX_SAMPLES - 1),
+                              1.0).count == MAX_SAMPLES
+
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_synthesis_above_cap_rejected(self, monkeypatch, mode):
+        # 1 or 2 tx rows x 3 rx x 21 wavenumbers, against a cap of 40.
+        monkeypatch.setattr(fields, "MAX_SAMPLES", 40)
+        rx = [[0.0, 1.0, 0.7], [0.2, 1.0, 0.7], [0.4, 1.0, 0.7]]
+        with pytest.raises(ValueError, match="exceed the cap of 40"):
+            if mode == "radiation":
+                synthesize_radiation_data(
+                    [DipoleSource((0, 0, 0.7), (1, 0, 0))],
+                    AntennaArray(np.zeros((0, 3)), rx, (1, 0, 0)),
+                    free_space(), SWEEP)
+            else:
+                synthesize_scattering_data(
+                    [PointScatterer((0, 0, 0.7))],
+                    AntennaArray(rx[:2], rx, (1, 0, 0)), free_space(), SWEEP)
 
 
 class TestSynthesizeRadiation:

@@ -11,10 +11,10 @@ from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
                           synthesize_radiation_data,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
-from rtbpa.imaging import (ImageGrid, ReconstructionConfig,
-                           adjoint_pair_check, image_entropy, naive_bpa,
-                           peak_locations, psf_metrics, reconstruct_at_points,
-                           rt_bpa)
+from rtbpa.imaging import (ImageGrid, ReconstructionConfig, _sum_radiation,
+                           _sum_scattering, adjoint_pair_check,
+                           image_entropy, naive_bpa, peak_locations,
+                           psf_metrics, reconstruct_at_points, rt_bpa)
 from rtbpa.propagation import ImagePathTable, SbrConfig
 
 SWEEP = FrequencySweep(18e9, 20e9, 100e6)
@@ -269,6 +269,19 @@ class TestRtBpaDegeneracy:
         b = rt_bpa(ms, grid, sc, cfg, workers=2)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_sbr_launch_reaching_no_antenna_gives_zero_image(self, mode):
+        # One ray and a capture radius far below the antenna spacing: the
+        # launch picks no sequence, so no voxel has a path.
+        sc = Scene([GROUND])
+        ms = radiation_data(sc) if mode == "radiation" else monostatic_data()
+        cfg = ReconstructionConfig(
+            max_order=1, path_engine="sbr",
+            sbr=SbrConfig(ray_count=1, max_bounces=1, capture_radius=1e-9,
+                          rng_seed=0))
+        img = rt_bpa(ms, small_grid(n=3), sc, cfg)
+        assert img.values.shape == (3, 3, 1) and not np.any(img.values)
+
 
 def random_adjoint_instance(seed):
     rng = np.random.default_rng(seed)
@@ -308,6 +321,27 @@ class TestAdjoint:
             r = adjoint_pair_check(targets, arrays, scene, sweep,
                                    ReconstructionConfig(max_order=2), t, s)
             assert r < 1e-12
+
+    def test_radiation_exactness_sample(self):
+        # Dipoles along the co-pol vector: forward synthesis and imaging then
+        # weigh each leg with the same sign.
+        for seed in range(10):
+            targets, arrays, scene, sweep, t, s = random_adjoint_instance(seed)
+            sources = [DipoleSource(tg.position, arrays.copol, a)
+                       for tg, a in zip(targets, s)]
+            forward = synthesize_radiation_data(sources, arrays, scene, sweep,
+                                                max_order=2)
+            data = MeasurementSet(tx_positions=np.zeros((1, 3)),
+                                  rx_positions=arrays.rx_positions,
+                                  copol=arrays.copol, sweep=sweep,
+                                  samples=t[:1], mode="radiation")
+            back = reconstruct_at_points(
+                [tg.position for tg in targets], data, scene,
+                ReconstructionConfig(max_order=2))
+            lhs = np.sum(forward.samples * np.conj(t[:1]))
+            rhs = np.sum(s * np.conj(back))
+            denom = np.linalg.norm(forward.samples) * np.linalg.norm(t[:1])
+            assert abs(lhs - rhs) < 1e-12 * denom
 
     def test_half_wave_mismatch_detected(self):
         targets, arrays, scene, sweep, t, s = random_adjoint_instance(3)
@@ -411,24 +445,97 @@ class TestPeaksAndEntropy:
             image_entropy(grid)
 
 
+def direct_sum(t, kvals, tx_legs, rx_legs):
+    """Oracle: sum over (tx class, rx class, tx, rx, k) of t[tx, rx, k]
+    * w_tx * w_rx * exp(+j k (L_tx + L_rx)); radiation when tx_legs is
+    None."""
+    n_v = rx_legs[0][0].shape[0]
+    if tx_legs is None:
+        tx_legs = [(np.zeros((n_v, 1)), np.ones((n_v, 1)))]
+    acc = np.zeros(n_v, dtype=complex)
+    for lt, wt in tx_legs:
+        for lr, wr in rx_legs:
+            lengths = lt[:, :, None] + lr[:, None, :]  # (V, n_tx, n_rx)
+            w = wt[:, :, None] * wr[:, None, :]
+            for i, k in enumerate(kvals):
+                acc += (w * np.exp(1j * k * lengths)
+                        * t[None, :, :, i]).sum(axis=(1, 2))
+    return acc
+
+
+def random_legs(rng, n_v, n_ant, n_classes, zero_cols=(), zero_class=None):
+    """(lengths, w) per class with +-1/0 weights; the listed antenna
+    columns are zero in every class and class `zero_class` is all zero."""
+    legs = []
+    for c in range(n_classes):
+        w = rng.choice([-1.0, 0.0, 1.0], size=(n_v, n_ant))
+        w[:, list(zero_cols)] = 0.0
+        if c == zero_class:
+            w[:] = 0.0
+        legs.append((rng.uniform(0.2, 1.5, size=(n_v, n_ant)), w))
+    return legs
+
+
+# Uniform wavenumbers (rad/m) that binary floating point holds exactly, so
+# the kernel and the oracle sum over the same k. How a sweep's rounded k
+# values are stepped is the fine-step test's subject.
+EXACT_K = 377.0 + 0.5 * np.arange(64)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestCoherentSum:
-    def test_horner_matches_direct_sum_on_fine_step(self):
+    def test_matches_direct_sum_on_fine_step(self):
         # A 1 kHz step at 20 GHz: rounding makes the wavenumber steps differ
         # by more than 1e-9 relative, yet the sweep is uniform by
         # construction and the first step's phasor serves every step.
-        from rtbpa.imaging import _horner_sum
         kvals = FrequencySweep(20e9, 20e9 + 4e3, 1e3).k_values
         steps = np.diff(kvals)
         assert kvals.size == 5
         assert np.ptp(steps) > 1e-9 * steps[0]
         rng = np.random.default_rng(8)
-        lengths = rng.uniform(0.5, 3.0, size=(6, 4))
-        w = rng.choice([-1.0, 0.0, 1.0], size=(6, 4))
+        legs = [(rng.uniform(0.5, 3.0, size=(6, 4)),
+                 rng.choice([-1.0, 0.0, 1.0], size=(6, 4)))]
         t0 = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        direct = sum((w * np.exp(1j * k * lengths) * t0[:, i]).sum(axis=1)
-                     for i, k in enumerate(kvals))
-        got = _horner_sum(lengths, w, t0, kvals)
-        assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
+        got = _sum_radiation(t0, kvals, legs)
+        assert relative_error(got, direct_sum(t0[None], kvals, None,
+                                              legs)) <= 1e-9
+
+    @pytest.mark.parametrize("n_k", [1, 64])
+    def test_scattering_matches_direct_sum(self, n_k):
+        rng = np.random.default_rng(40 + n_k)
+        kvals = EXACT_K[:n_k]
+        n_v, n_tx, n_rx = 7, 3, 5
+        tx_legs = random_legs(rng, n_v, n_tx, 2, zero_cols=[1])
+        rx_legs = random_legs(rng, n_v, n_rx, 3, zero_cols=[0, 3],
+                              zero_class=1)
+        t = (rng.normal(size=(n_tx, n_rx, n_k))
+             + 1j * rng.normal(size=(n_tx, n_rx, n_k)))
+        got = _sum_scattering(t, kvals, tx_legs, rx_legs, n_v)
+        assert relative_error(got, direct_sum(t, kvals, tx_legs,
+                                              rx_legs)) <= 1e-12
+
+    def test_radiation_matches_direct_sum(self):
+        rng = np.random.default_rng(44)
+        kvals = EXACT_K[:21]
+        n_v, n_rx = 9, 6
+        legs = random_legs(rng, n_v, n_rx, 3, zero_cols=[2], zero_class=0)
+        t0 = (rng.normal(size=(n_rx, kvals.size))
+              + 1j * rng.normal(size=(n_rx, kvals.size)))
+        got = _sum_radiation(t0, kvals, legs)
+        assert relative_error(got, direct_sum(t0[None], kvals, None,
+                                              legs)) <= 1e-12
+
+    def test_all_zero_side_gives_zero(self):
+        rng = np.random.default_rng(45)
+        kvals = SWEEP.k_values[:4]
+        rx_legs = random_legs(rng, 3, 2, 2)
+        tx_legs = random_legs(rng, 3, 2, 1, zero_class=0)
+        t = np.ones((2, 2, 4), dtype=complex)
+        got = _sum_scattering(t, kvals, tx_legs, rx_legs, 3)
+        assert got.shape == (3,) and np.all(got == 0)
 
 
 class TestImageGrid:
