@@ -220,15 +220,36 @@ def cmd_reconstruct(manifest: RunManifest, data_file: str,
     return EXIT_OK
 
 
+def _finite(v) -> bool:
+    """True for a JSON number that converts to a finite double."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _read_metrics(run: str) -> dict:
+    """The fields `compare` reads from a run's metrics.json, checked."""
     path = Path(run) / "metrics.json"
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ScenarioError(
             f"{path}: cannot read: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    peak = doc.get("peak_position_m")
+    if not (isinstance(peak, list) and len(peak) == 3
+            and all(_finite(v) for v in peak)):
+        raise ScenarioError(
+            f"{path}: field 'peak_position_m': expected 3 finite numbers")
+    for key in ("entropy", "fwhm_x_m", "fwhm_y_m"):
+        if not (doc.get(key) is None or _finite(doc[key])):
+            raise ScenarioError(
+                f"{path}: field '{key}': expected a finite number or null")
+    return doc
 
 
 def cmd_compare(run_a: str, run_b: str, out_file: Optional[str]) -> int:

@@ -5,10 +5,6 @@ class RtbpaError(Exception):
     """Base class for package errors."""
 
 
-class NonPlanarReflector(RtbpaError):
-    """A reflector without a supporting plane was used for image construction."""
-
-
 class Singular(RtbpaError):
     """Field evaluation requested at the source location."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyInput, Singular
 from .geometry import Facet, Scene, as_vec3, unit
 from .propagation import (CROSS_POL_THRESHOLD, ImagePathTable, SbrConfig,
-                          _check_scene, enumeration_order, sbr_trace)
+                          _check_order, enumeration_order, sbr_trace)
 
 C0 = 299792458.0  # m/s
 
@@ -240,7 +240,7 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
     if path_engine != "sbr":
         raise ValueError(f"unknown path engine {path_engine!r}")
     cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
-    _check_scene(scene, cfg.max_bounces)  # refuse before any launch
+    _check_order(cfg.max_bounces)  # refuse before any launch
 
     def tables(points, launch=0):
         per_antenna = sbr_trace(points, np.concatenate(antenna_sets), scene,

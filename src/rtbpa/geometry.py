@@ -55,6 +55,11 @@ class Facet:
     # Derived quantities cached at construction (hot-path use).
     frame: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.kind not in ("triangle", "rectangle", "plane"):
+            raise ValueError(f"facet {self.id} has unknown kind "
+                             f"{self.kind!r}")
+
     @staticmethod
     def triangle(fid: int, v0, v1, v2) -> "Facet":
         verts = np.array([as_vec3(v0), as_vec3(v1), as_vec3(v2)], dtype=float)
@@ -173,7 +178,7 @@ def _ray_plane_t(facet: Facet, o: np.ndarray, d: np.ndarray) -> float:
 
 
 def _ray_facet_t(facet: Facet, o: np.ndarray, d: np.ndarray,
-                 t_min: float, t_max: float) -> float:
+                 t_max: float) -> float:
     """Nearest-hit parameter for a single ray against one facet (inf on miss).
 
     Edge-inclusive, so shared triangle edges do not leak.
@@ -196,9 +201,9 @@ def _ray_facet_t(facet: Facet, o: np.ndarray, d: np.ndarray,
         if v < -1e-12 or u + v > 1.0 + 1e-12:
             return np.inf
         t = float(np.dot(e2, qvec)) * inv
-        return t if t_min < t < t_max else np.inf
+        return t if EPS_SELF < t < t_max else np.inf
     t = _ray_plane_t(facet, o, d)
-    if not (t_min < t < t_max):
+    if not (EPS_SELF < t < t_max):
         return np.inf
     if facet.kind == "plane":
         return t
@@ -206,15 +211,15 @@ def _ray_facet_t(facet: Facet, o: np.ndarray, d: np.ndarray,
     return t if bool(facet.contains(x, margin=-1e-12)) else np.inf
 
 
-def intersect(origin, direction, scene: Scene, t_min: float = EPS_SELF):
-    """(t, facet_index) of the nearest hit of one ray, (inf, -1) on a miss,
-    with the index into `scene.all_facets`; the scalar oracle that the
-    batched `rays_nearest_hit` is tested against."""
+def intersect(origin, direction, scene: Scene):
+    """(t, facet_index) of the nearest hit beyond EPS_SELF of one ray,
+    (inf, -1) on a miss, with the index into `scene.all_facets`; the scalar
+    oracle that the batched `rays_nearest_hit` is tested against."""
     o = as_vec3(origin)
     d = as_vec3(direction)
     best_t, best_i = np.inf, -1
     for i, f in enumerate(scene.all_facets):
-        t = _ray_facet_t(f, o, d, t_min, best_t)
+        t = _ray_facet_t(f, o, d, best_t)
         if t < best_t:
             best_t, best_i = t, i
     return best_t, best_i
@@ -274,9 +279,9 @@ def segments_blocked(a, b, scene: Scene,
     return blocked
 
 
-def rays_nearest_hit(origins: np.ndarray, dirs: np.ndarray, scene: Scene,
-                     t_min: float = EPS_SELF):
-    """Batch nearest-hit query for N rays against the full scene.
+def rays_nearest_hit(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
+    """Batch nearest-hit query beyond EPS_SELF for N rays against the full
+    scene.
 
     Returns (t, facet_index) with t = inf and index = -1 on miss; the index
     refers to `scene.all_facets`.
@@ -310,7 +315,7 @@ def rays_nearest_hit(origins: np.ndarray, dirs: np.ndarray, scene: Scene,
             if f.kind == "rectangle":
                 x = origins + t[:, None] * dirs
                 ok &= f.contains(x, margin=-1e-12)
-        ok &= (t > t_min) & (t < best_t)
+        ok &= (t > EPS_SELF) & (t < best_t)
         best_t = np.where(ok, t, best_t)
         best_idx = np.where(ok, fi, best_idx)
     return best_t, best_idx

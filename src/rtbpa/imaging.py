@@ -74,12 +74,11 @@ class ImageGrid:
                 raise ValueError("values shape does not match dims")
 
     @staticmethod
-    def planar(center, axis_i, axis_j, spacing_ij, dims_ij,
-               normal=None) -> "ImageGrid":
+    def planar(center, axis_i, axis_j, spacing_ij, dims_ij) -> "ImageGrid":
         """Planar (nz = 1) grid centered on `center`."""
         ai = unit(axis_i)
         aj = unit(axis_j)
-        an = unit(np.cross(ai, aj)) if normal is None else unit(normal)
+        an = unit(np.cross(ai, aj))
         ni, nj = int(dims_ij[0]), int(dims_ij[1])
         si, sj = float(spacing_ij[0]), float(spacing_ij[1])
         origin = (as_vec3(center) - 0.5 * (ni - 1) * si * ai
@@ -358,90 +357,25 @@ class PsfMetrics:
 
 def _profile_along(image: ImageGrid, axis: np.ndarray,
                    peak: Tuple[int, int, int]):
-    """|values| sampled along `axis` through the peak voxel.
+    """|values| along the grid axis parallel to `axis`, through the peak
+    voxel: (positions_m, magnitudes, peak_sample_index).
 
-    Returns (positions_m, magnitudes, peak_sample_index).
+    The profile runs in the grid axis's own direction; an antiparallel
+    `axis` gives its mirror image, and so the same FWHM and PSLR.
     """
     axis = unit(axis)
-    mag = np.abs(image.values)
     for d in range(3):
-        a = float(axis @ image.axes[d])
-        if abs(abs(a) - 1.0) < 1e-9 and image.dims[d] > 1:
-            sl = [peak[0], peak[1], peak[2]]
+        if abs(abs(float(axis @ image.axes[d])) - 1.0) < 1e-9:
+            sl = list(peak)
             sl[d] = slice(None)
-            prof = mag[tuple(sl)]
             pos = (np.arange(image.dims[d]) - peak[d]) * image.spacing[d]
-            if a < 0:
-                prof = prof[::-1]
-                pos = -pos[::-1]
-            p_idx = int(np.nonzero(pos == 0.0)[0][0])
-            return pos, prof, p_idx
-    # General axis: trilinear sampling at the finest in-plane spacing.
-    live = [d for d in range(3) if image.dims[d] > 1]
-    step = float(np.min(image.spacing[live])) if live else float(
-        image.spacing[0])
-    center = image.voxel_center(*peak)
-    offsets = []
-    for sgn in (-1, 1):
-        s = 0.0
-        while True:
-            s += step
-            p = center + sgn * s * axis
-            if not _inside(image, p):
-                break
-            offsets.append(sgn * s)
-    offsets = np.array(sorted(offsets + [0.0]))
-    vals = np.array([_trilinear(image, center + s * axis) for s in offsets])
-    p_idx = int(np.nonzero(offsets == 0.0)[0][0])
-    return offsets, vals, p_idx
-
-
-def _grid_coords(image: ImageGrid, p: np.ndarray) -> np.ndarray:
-    rel = p - image.origin
-    return np.array([(rel @ image.axes[d]) / image.spacing[d]
-                     for d in range(3)])
-
-
-def _inside(image: ImageGrid, p: np.ndarray) -> bool:
-    c = _grid_coords(image, p)
-    for d in range(3):
-        if image.dims[d] == 1:
-            if abs(c[d]) > 1e-6:
-                return False
-        elif not (0.0 <= c[d] <= image.dims[d] - 1):
-            return False
-    return True
-
-
-def _trilinear(image: ImageGrid, p: np.ndarray) -> float:
-    c = _grid_coords(image, p)
-    mag = np.abs(image.values)
-    i0 = np.floor(c).astype(int)
-    out = 0.0
-    for corner in range(8):
-        w = 1.0
-        idx = [0, 0, 0]
-        skip = False
-        for d in range(3):
-            bit = (corner >> d) & 1
-            if image.dims[d] == 1:
-                if bit:
-                    skip = True
-                    break
-                idx[d] = 0
-                continue
-            base = min(max(i0[d], 0), image.dims[d] - 2)
-            frac = c[d] - base
-            idx[d] = base + bit
-            w *= frac if bit else (1.0 - frac)
-        if skip or w == 0.0:
-            continue
-        out += w * mag[idx[0], idx[1], idx[2]]
-    return out
+            return pos, np.abs(image.values[tuple(sl)]), peak[d]
+    raise ValueError(f"axis {axis} is parallel to no grid axis")
 
 
 def psf_metrics(image: ImageGrid, axis, peak: Tuple[int, int, int]) -> PsfMetrics:
-    """FWHM (linear interpolation) and peak-to-sidelobe ratio along an axis.
+    """FWHM (linear interpolation) and peak-to-sidelobe ratio along a grid
+    axis (ValueError for any other axis).
 
     The main lobe is bounded by the first local minima on each side of the
     peak; sidelobes below the -40 dB display floor are ignored.

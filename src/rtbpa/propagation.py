@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import NonPlanarReflector
+from .errors import ScenarioError
 from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
                        mirror_points, rays_nearest_hit, segments_blocked, unit)
 
@@ -24,6 +24,10 @@ from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
 CROSS_POL_THRESHOLD = 1e-3
 # Sequence count grows as ~facets**order; deeper orders are refused.
 MAX_ORDER = 5
+# Most (sequence, antenna) pairs one path table holds: every table eval keeps a
+# (V, A) lengths and weight array per sequence for a 128-voxel chunk, about
+# 2 KiB a pair, so 2^19 pairs stay near 1 GiB.
+MAX_TABLE_LEGS = 1 << 19
 # Largest SBR launch: each ray holds ~100-200 bytes of launch state (start,
 # direction, sequence, per-bounce copies), so 10^7 rays stay near 2 GB.
 MAX_RAYS = 10_000_000
@@ -31,8 +35,6 @@ MAX_RAYS = 10_000_000
 CLUSTER_SIZE = 64
 # Most (ray, antenna) pairs one exact SBR capture test holds at a time.
 PAIR_BLOCK = 1 << 16
-
-_PLANAR_KINDS = {"triangle", "rectangle", "plane"}
 
 
 @dataclass
@@ -51,18 +53,22 @@ class SbrConfig:
             raise ValueError("capture_radius must be > 0")
 
 
-def _check_scene(scene: Scene, max_order: int) -> None:
+def _check_order(max_order: int) -> None:
     if not 0 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_ORDER}")
-    for f in scene.all_facets:
-        if f.kind not in _PLANAR_KINDS:
-            raise NonPlanarReflector(f"facet {f.id} has kind {f.kind!r}")
+
+
+def _sequence_count(n_facets: int, max_order: int) -> int:
+    """len(enumerate_sequences(...)) without building the list:
+    1 + F * sum_{j=1..o} (F - 1)^(j - 1)."""
+    return 1 + n_facets * sum((n_facets - 1) ** (j - 1)
+                              for j in range(1, max_order + 1))
 
 
 def enumerate_sequences(scene: Scene, max_order: int) -> List[Tuple[int, ...]]:
     """All reflector-id sequences up to max_order without immediate repeats,
     by length, then by facet position in `scene.all_facets`."""
-    _check_scene(scene, max_order)
+    _check_order(max_order)
     ids = [f.id for f in scene.all_facets]
     seqs: List[Tuple[int, ...]] = [()]
     frontier: List[Tuple[int, ...]] = [()]
@@ -222,26 +228,35 @@ class ImagePathTable:
         self.antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
         self.copol = unit(copol)
         self.max_order = int(max_order)
-        if sequences is None:
-            self.sequences = enumerate_sequences(scene, self.max_order)
-        else:
-            _check_scene(scene, self.max_order)
-            self.sequences = list(sequences)
+        _check_order(self.max_order)
+        if sequences is not None:
+            sequences = list(sequences)
+        n_seq = (_sequence_count(len(scene.all_facets), self.max_order)
+                 if sequences is None else len(sequences))
+        n_ant = self.antennas.shape[0]
+        if n_seq * n_ant > MAX_TABLE_LEGS:
+            raise ScenarioError(
+                f"{n_seq} sequences x {n_ant} antennas = {n_seq * n_ant} "
+                f"path legs exceed the cap of {MAX_TABLE_LEGS}")
+        self.sequences = (enumerate_sequences(scene, self.max_order)
+                          if sequences is None else sequences)
         self._entries = []
         for seq in self.sequences:
             pts = self.antennas
-            rev = []
+            chain = [pts]
             for fid in reversed(seq):
                 pts = mirror_points(pts, scene.by_id[fid])
-                rev.append(pts)
-            chains = rev[::-1]  # images[j] per bounce, (A, 3); [0] deepest
+                chain.append(pts)
+            # images[j] (A, 3) is the target of leg j: the antenna images of
+            # the remaining bounces, [0] deepest, [-1] the antennas.
+            chain.reverse()
             m = np.eye(3)
             for fid in seq:
                 n = scene.by_id[fid].normal
                 m = (2.0 * np.outer(n, n) - np.eye(3)) @ m
             self._entries.append({
                 "seq": seq,
-                "images": chains,
+                "images": chain,
                 "w": m.T @ self.copol,
                 "facets": [scene.by_id[fid] for fid in seq],
             })
@@ -336,7 +351,7 @@ class ImagePathTable:
         ant_terms = [(None, ants, 1)]
         for entry in self._entries:
             seq = entry["seq"]
-            target0 = entry["images"][0] if seq else ants
+            target0 = entry["images"][0]
             # |target - point| via the expanded square, no (V, A, 3) tensor.
             tt = np.einsum("ai,ai->a", target0, target0)
             lengths = pp[:, None] - 2.0 * (points @ target0.T) + tt[None, :]
@@ -348,22 +363,16 @@ class ImagePathTable:
             s_w = (dot(target0, w)[None, :] - dot(points, w)[:, None]) / safe
             amp = float(ori @ w) - os_dot * s_w
             tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
-            if not seq:
-                valid = occlusion(valid, point_terms, ant_terms, lengths, ())
-                yield seq, lengths, amp, tnorm, valid
-                continue
+            # A line-of-sight sequence is a chain of zero bounces.
             cur_terms = point_terms
             rem = lengths
             prev_id = None
-            dead = False
-            for j, facet in enumerate(entry["facets"]):
-                image_j = entry["images"][j]
+            for facet, image_j in zip(entry["facets"], entry["images"]):
                 # The bounce point is where the segment towards the next
                 # antenna image crosses the facet, inside its edges.
                 hit = cross(facet, cur_terms, [(None, image_j, 1)], rem, 0.0)
                 valid &= False if hit is None else hit[0]
                 if not valid.any():
-                    dead = True
                     break
                 tau = hit[1]
                 # scale existing terms by (1 - tau), then add tau * image_j
@@ -375,9 +384,9 @@ class ImagePathTable:
                 rem = (1.0 - tau) * rem
                 cur_terms = q_terms
                 prev_id = facet.id
-            if not dead:
+            if valid.any():
                 valid = occlusion(valid, cur_terms, ant_terms, rem,
-                                  {seq[-1]})
+                                  set(seq[-1:]))
             yield seq, lengths, amp, tnorm, valid
 
     def eval_reference(self, points: np.ndarray, orientation=None):

@@ -395,13 +395,11 @@ class _Reader:
         self.where = where
         self.seen = set()
 
-    def get(self, key, kind, required=True):
+    def get(self, key, kind):
         self.seen.add(key)
         if key not in self.doc:
-            if required:
-                raise ScenarioError(f"missing required field "
-                                    f"'{self.where}.{key}'")
-            return None
+            raise ScenarioError(f"missing required field "
+                                f"'{self.where}.{key}'")
         val = self.doc[key]
         if kind is float and isinstance(val, int):
             val = float(val)
@@ -422,14 +420,35 @@ class _Reader:
                 f"(strict schema)")
 
 
-def _read_vec(r: _Reader, key: str, length=3) -> np.ndarray:
-    raw = r.get(key, list)
-    if len(raw) != length or not all(isinstance(x, (int, float))
-                                     and not isinstance(x, bool)
-                                     for x in raw):
-        raise ScenarioError(f"field '{r.where}.{key}': expected {length} "
-                            f"numbers")
+def _vec(raw, where: str, length=3) -> np.ndarray:
+    if not isinstance(raw, list) or len(raw) != length or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in raw):
+        raise ScenarioError(f"field '{where}': expected {length} numbers")
     return np.array([float(x) for x in raw])
+
+
+def _read_vec(r: _Reader, key: str, length=3) -> np.ndarray:
+    return _vec(r.get(key, list), f"{r.where}.{key}", length)
+
+
+def _read_vecs(r: _Reader, key: str, count=None) -> np.ndarray:
+    """A list of 3-vectors (`count` of them, if given) as an (N, 3) array."""
+    raw = r.get(key, list)
+    if count is not None and len(raw) != count:
+        raise ScenarioError(f"field '{r.where}.{key}': expected {count} "
+                            f"vectors")
+    return np.array([_vec(v, f"{r.where}.{key}[{i}]")
+                     for i, v in enumerate(raw)]).reshape(-1, 3)
+
+
+def _read_ints(r: _Reader, key: str, count=None) -> list:
+    raw = r.get(key, list)
+    if (count is not None and len(raw) != count) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in raw):
+        raise ScenarioError(f"field '{r.where}.{key}': expected "
+                            f"{count or 'only'} integers")
+    return raw
 
 
 def _read_complex(r: _Reader, key: str) -> complex:
@@ -443,12 +462,7 @@ def _facet_from_doc(doc, where) -> Facet:
     kind = r.get("kind", str)
     try:
         if kind == "triangle":
-            raw = r.get("vertices", list)
-            if len(raw) != 3:
-                raise ScenarioError(f"field '{where}.vertices': expected 3 "
-                                    f"vertices")
-            verts = [np.asarray(v, float) for v in raw]
-            facet = Facet.triangle(fid, *verts)
+            facet = Facet.triangle(fid, *_read_vecs(r, "vertices", 3))
         elif kind == "rectangle":
             facet = Facet.rectangle(fid, _read_vec(r, "origin"),
                                     _read_vec(r, "edge_u"),
@@ -503,16 +517,13 @@ def _scenario_from_doc(doc) -> Scenario:
     facet_docs = rs.get("facets", list)
     facets = [_facet_from_doc(d, f"scenario.scene.facets[{i}]")
               for i, d in enumerate(facet_docs)]
-    occ = rs.get("occluder_ids", list)
+    occ = _read_ints(rs, "occluder_ids")
     rs.finish()
-    scene = Scene(facets, occluder_ids=[int(i) for i in occ])
+    scene = Scene(facets, occluder_ids=occ)
 
     ra = r.sub("arrays")
-    tx_raw = ra.get("tx_positions", list)
-    rx_raw = ra.get("rx_positions", list)
-    tx = (np.array([[float(x) for x in p] for p in tx_raw]).reshape(-1, 3)
-          if tx_raw else np.zeros((0, 3)))
-    rx = np.array([[float(x) for x in p] for p in rx_raw]).reshape(-1, 3)
+    tx = _read_vecs(ra, "tx_positions")
+    rx = _read_vecs(ra, "rx_positions")
     copol = _read_vec(ra, "copol")
     ra.finish()
 
@@ -525,14 +536,10 @@ def _scenario_from_doc(doc) -> Scenario:
                         rx.shape[0], sweep.count)
 
     rg = r.sub("grid")
-    axes_raw = rg.get("axes", list)
-    if len(axes_raw) != 3:
-        raise ScenarioError("field 'scenario.grid.axes': expected 3 vectors")
-    dims_raw = rg.get("dims", list)
     grid = ImageGrid(origin=_read_vec(rg, "origin"),
-                     axes=np.array([[float(x) for x in a] for a in axes_raw]),
+                     axes=_read_vecs(rg, "axes", 3),
                      spacing=_read_vec(rg, "spacing"),
-                     dims=tuple(int(d) for d in dims_raw))
+                     dims=_read_ints(rg, "dims", 3))
     rg.finish()
 
     sources: List[DipoleSource] = []

@@ -335,7 +335,9 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "nan_source_position",
                                   "overflow_source_position",
                                   "huge_int_step", "huge_grid", "huge_sweep",
-                                  "huge_samples"])
+                                  "huge_samples", "two_coordinate_rx",
+                                  "fractional_grid_dim",
+                                  "fractional_occluder_id"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -357,6 +359,16 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     elif edit == "huge_samples":
         # 2^24 + 1 points pass the sweep cap; times 18 rx they do not.
         doc["sweep"]["step_hz"] = 2e9 / 2 ** 24
+    elif edit == "two_coordinate_rx":
+        # 18 rx of 2 coordinates would read as 12 rx of 3.
+        doc["arrays"]["rx_positions"] = [
+            p[:2] for p in doc["arrays"]["rx_positions"]]
+    elif edit == "fractional_grid_dim":
+        doc["grid"]["dims"][0] = 7.9
+    elif edit == "fractional_occluder_id":
+        doc["scene"]["facets"] = [{"id": 1, "kind": "plane",
+                                   "point": [0, 0, -1], "normal": [0, 0, 1]}]
+        doc["scene"]["occluder_ids"] = [1.5]
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
@@ -389,6 +401,41 @@ def test_compare_missing_input_exits_2(tmp_path, capsys, present):
     err = capsys.readouterr().err
     missing = "metrics.json" if present else "image.rtbpa"
     assert err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize("metrics", [
+    {"entropy": 1.0}, [1, 2, 3],
+    {"peak_position_m": [0.0, 0.0, 0.7], "entropy": "low"},
+], ids=["no_peak", "list_doc", "text_entropy"])
+def test_compare_malformed_metrics_exits_2(tmp_path, capsys, metrics):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        run.mkdir()
+        rio.write_image(run / "image.rtbpa", ImageGrid(
+            origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+            dims=(2, 2, 1)))
+        (run / "metrics.json").write_text(json.dumps(metrics))
+    assert main(["compare", "--run-a", str(runs[0]),
+                 "--run-b", str(runs[1])]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "metrics.json" in err
+
+
+def test_table_above_leg_cap_exits_2(free_space_file, tmp_path, capsys):
+    # 42 facets at order 4 enumerate 2,967,049 sequences; refused from the
+    # count, before any sequence list or antenna image is built.
+    doc = json.loads(free_space_file.read_text())
+    doc["scene"]["facets"] = [
+        {"id": i + 1, "kind": "plane", "point": [0, 0, -1.0 - i],
+         "normal": [0, 0, 1]} for i in range(42)]
+    many = tmp_path / "many_facets.json"
+    many.write_text(json.dumps(doc))
+    assert main(["forward", "--scenario", str(many), "--max-order", "4",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "2967049 sequences x 18 antennas" in err
+    assert f"cap of {1 << 19}" in err
 
 
 def test_container_above_sample_cap_exits_2(plates_container, tmp_path,

@@ -284,6 +284,75 @@ class TestSynthesizeRadiation:
         assert np.allclose(both.samples, parts, atol=1e-12)
 
 
+class TestCornerReflectorImages:
+    """A 90-degree PEC corner of infinite planes z = 0 and x = 0 is exact
+    under image theory with three image dipoles at order 2 (Balanis,
+    Antenna Theory, 4th ed., 2016, corner reflectors): an oracle for
+    multi-bounce polarization transport independent of the path engine."""
+
+    FLOOR = Facet.plane(1, (0, 0, 0), (0, 0, 1))
+    WALL = Facet.plane(2, (0, 0, 0), (1, 0, 0))
+
+    def trials(self, seed, n=20):
+        """(source, copol, rx) inside the wedge x > 0, z > 0."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            src = DipoleSource(rng.uniform([0.1, -0.5, 0.1], [1.0, 0.5, 1.0]),
+                               rng.normal(size=3))
+            copol = rng.normal(size=3)
+            rx = rng.uniform([0.05, 0.8, 0.05], [1.5, 1.5, 1.5], size=(30, 3))
+            yield src, copol / np.linalg.norm(copol), rx
+
+    def images(self, src):
+        """{sequence: emitting dipole}: the source and its three images."""
+        floor = image_dipole(src, self.FLOOR)
+        both = image_dipole(floor, self.WALL)
+        return {(): src, (1,): floor, (2,): image_dipole(src, self.WALL),
+                (1, 2): both, (2, 1): both}
+
+    def test_far_field_equals_image_sum(self, monkeypatch):
+        # With no cross-pol cut every leg counts, as in image theory.
+        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+        sc = Scene([self.FLOOR, self.WALL])
+        sweep = FrequencySweep(18e9, 20e9, 1e9)
+        for src, copol, rx in self.trials(41):
+            arrays = AntennaArray(tx_positions=np.zeros((0, 3)),
+                                  rx_positions=rx, copol=copol)
+            syn = synthesize_radiation_data([src], arrays, sc, sweep,
+                                            max_order=2,
+                                            amplitude="far_field")
+            images = self.images(src)
+            dipoles = [images[seq] for seq in [(), (1,), (2,), (1, 2)]]
+            ref = np.array([[sum(dipole_field(r, d, k, "far_field") @ copol
+                                 for d in dipoles)
+                             for k in sweep.k_values] for r in rx])
+            err = np.linalg.norm(syn.samples[0] - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+
+    def test_phase_only_signs_match_image_dipoles(self):
+        sc = Scene([self.FLOOR, self.WALL])
+        kept = dict.fromkeys([(), (1,), (2,), (1, 2), (2, 1)], 0)
+        for src, copol, rx in self.trials(43):
+            table = ImagePathTable(sc, rx, 2, copol)
+            legs = {seq: (lengths, valid) for seq, lengths, _, _, valid
+                    in table.eval(src.position[None], src.orientation)}
+            # The two double-bounce orders reach the same image; exactly
+            # one of them is a physical path.
+            assert np.all(legs[(1, 2)][1] ^ legs[(2, 1)][1])
+            weights = fields._weighted_legs(table, src.position[None],
+                                            "phase_only", src.orientation)
+            for seq, (lengths, w) in zip(table.sequences, weights):
+                img = self.images(src)[seq]
+                for a in np.flatnonzero(w[0]):
+                    # Undo the propagation phase: the image dipole's
+                    # co-pol amplitude is then real and carries the sign.
+                    a_img = (dipole_field(rx[a], img, K, "far_field") @ copol
+                             * np.exp(1j * K * lengths[0, a]))
+                    assert np.sign(a_img.real) == w[0, a]
+                    kept[seq] += 1
+        assert min(kept.values()) >= 20
+
+
 def scattering_arrays():
     tx = np.array([[0.0, -1.0, 0.8], [0.3, -1.0, 0.5]])
     rx = np.array([[0.1, 1.0, 0.9], [-0.4, 1.0, 0.4], [0.5, 1.0, 0.7]])

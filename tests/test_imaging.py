@@ -403,11 +403,20 @@ class TestPsfMetrics:
             psf_metrics(grid, (1, 0, 0), grid.peak_index())
 
     def test_off_axis_profile(self):
+        # Profiles run along grid axes only; an antiparallel axis reads the
+        # mirrored profile and so the same metrics, bit for bit.
         grid = self.gaussian_image()
+        grid.values[:] *= (1.0 + 0.3 * np.sin(np.arange(81)))[:, None, None]
         diag = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        m = psf_metrics(grid, diag, grid.peak_index())
-        expected = 2.0 * np.sqrt(2.0 * np.log(2.0)) * 0.05
-        assert abs(m.fwhm - expected) < 0.01
+        with pytest.raises(ValueError, match="no grid axis"):
+            psf_metrics(grid, diag, grid.peak_index())
+        assert (psf_metrics(grid, (-1, 0, 0), grid.peak_index())
+                == psf_metrics(grid, (1, 0, 0), grid.peak_index()))
+
+    def test_one_voxel_axis_unresolved(self):
+        grid = self.gaussian_image()
+        with pytest.raises(UnresolvedLobe):
+            psf_metrics(grid, (0, 0, 1), grid.peak_index())
 
 
 class TestPeaksAndEntropy:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtbpa import propagation
-from rtbpa.errors import NonPlanarReflector
+from rtbpa.errors import ScenarioError
 from rtbpa.fields import _leg_coefficients, _path_tables, _weighted_legs
 from rtbpa.geometry import GRAZING_TOL, Facet, Scene, rays_nearest_hit
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
@@ -204,10 +204,43 @@ class TestFindPathsImages:
             ImagePathTable(ground_scene(), [(1, 0, 1)], 6, copol=(0, 1, 0))
 
     def test_non_planar_kind_rejected(self):
-        bogus = Facet(id=9, kind="disk", point=np.zeros(3),
-                      normal=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(NonPlanarReflector):
-            enumerate_sequences(Scene([bogus]), 1)
+        with pytest.raises(ValueError, match="disk"):
+            Facet(id=9, kind="disk", point=np.zeros(3),
+                  normal=np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("n_facets", [0, 1, 2, 5])
+    def test_sequence_count_matches_enumeration(self, n_facets):
+        sc = Scene([Facet.plane(i + 1, (0, 0, -i), (0, 0, 1))
+                    for i in range(n_facets)])
+        for order in range(4):
+            assert (propagation._sequence_count(n_facets, order)
+                    == len(enumerate_sequences(sc, order)))
+
+    def test_table_above_leg_cap_rejected(self, monkeypatch):
+        # Two sequences (LOS, ground) x 6 antennas = 12 legs; refused before
+        # any antenna image is built, for either engine's sequence list.
+        def mirror(*args):
+            raise AssertionError("antenna images built")
+
+        monkeypatch.setattr(propagation, "MAX_TABLE_LEGS", 10)
+        ants = np.ones((6, 3))
+        assert len(ImagePathTable(ground_scene(), ants[:5], 1,
+                                  (0, 1, 0)).sequences) == 2  # at the cap
+        monkeypatch.setattr(propagation, "mirror_points", mirror)
+        for seqs in (None, [(), (1,)]):
+            with pytest.raises(ScenarioError,
+                               match="2 sequences x 6 antennas = 12 .* 10"):
+                ImagePathTable(ground_scene(), ants, 1, (0, 1, 0), seqs)
+
+    def test_built_in_scenarios_fit_the_leg_cap(self):
+        from rtbpa.scenes import SCENARIOS, scenario_hidden_dipole
+        for s in ([build() for build in SCENARIOS.values()]
+                  + [scenario_hidden_dipole(side_wall=True)]):
+            n_seq = propagation._sequence_count(len(s.scene.all_facets),
+                                                propagation.MAX_ORDER)
+            n_ant = max(len(s.arrays.tx_positions),
+                        len(s.arrays.rx_positions))
+            assert n_seq * n_ant <= propagation.MAX_TABLE_LEGS, s.name
 
 
 class TestFindPathsSbr:
