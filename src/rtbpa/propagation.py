@@ -220,6 +220,12 @@ class ImagePathTable:
     they are built once and evaluated for whole voxel blocks at a time. The
     sequences are all those up to `max_order` (the images engine) unless a
     list is given (the SBR engine passes the sequences its rays captured).
+
+    Each sequence is also unfolded once. Leg j runs from bounce j (or the
+    point) to bounce j + 1 (or the antenna) and is tested against its end
+    bounce facet (none on the last leg) and every occluder but the bounce
+    facets at its ends, each reflected through bounces 1..j: every leg then
+    lies on the one line from the point to the deepest antenna image.
     """
 
     def __init__(self, scene: Scene, antennas, max_order: int, copol,
@@ -240,26 +246,59 @@ class ImagePathTable:
                 f"path legs exceed the cap of {MAX_TABLE_LEGS}")
         self.sequences = (enumerate_sequences(scene, self.max_order)
                           if sequences is None else sequences)
+        occluders = [f for f in scene.all_facets
+                     if f.id in scene.occluder_ids]
+        # Sequences that end alike share antenna images. Those that start
+        # alike share the composite dyadic d and the unfolding x -> m x + b.
+        images = {(): self.antennas}
+        frames = {(): (np.eye(3), np.eye(3), np.zeros(3))}
+        keys: dict = {}  # (bounces before a leg, facet id) -> reflection
         self._entries = []
         for seq in self.sequences:
-            pts = self.antennas
-            chain = [pts]
-            for fid in reversed(seq):
-                pts = mirror_points(pts, scene.by_id[fid])
-                chain.append(pts)
-            # images[j] (A, 3) is the target of leg j: the antenna images of
-            # the remaining bounces, [0] deepest, [-1] the antennas.
-            chain.reverse()
-            m = np.eye(3)
-            for fid in seq:
-                n = scene.by_id[fid].normal
-                m = (2.0 * np.outer(n, n) - np.eye(3)) @ m
+            for j in range(len(seq) - 1, -1, -1):
+                if seq[j:] not in images:
+                    images[seq[j:]] = mirror_points(images[seq[j + 1:]],
+                                                    scene.by_id[seq[j]])
+            legs, tests = [], []
+            for j in range(len(seq) + 1):
+                if j and seq[:j] not in frames:
+                    f = scene.by_id[seq[j - 1]]
+                    g = 2.0 * np.outer(f.normal, f.normal) - np.eye(3)
+                    d, m, b = frames[seq[:j - 1]]
+                    frames[seq[:j]] = (g @ d, -(m @ g), b + m @ (
+                        2.0 * float(f.normal @ f.point) * f.normal))
+                ends = seq[max(j - 1, 0):j + 1]
+                bounce = [scene.by_id[seq[j]]] if j < len(seq) else []
+                tested = [f for f in occluders if f.id not in ends]
+                legs.append((bounce, tested))
+                tests += [keys.setdefault((seq[:j], f.id), len(keys))
+                          for f in bounce + tested]
             self._entries.append({
                 "seq": seq,
-                "images": chain,
-                "w": m.T @ self.copol,
+                # images[j] (A, 3) is the target of leg j: the antenna images
+                # of the remaining bounces, [0] deepest, [-1] the antennas.
+                "images": [images[seq[j:]] for j in range(len(seq) + 1)],
+                "w": frames[seq][0].T @ self.copol,
                 "facets": [scene.by_id[fid] for fid in seq],
+                "legs": legs,
+                "tests": np.array(tests, dtype=np.intp),
             })
+        # Reflection u: rows of _vecs[u] are its normal and in-plane axes
+        # (rectangle: unit edges; triangle: edge vectors; plane: zeros),
+        # _offs[u] their values at its reference point.
+        rows = np.zeros((len(scene.all_facets), 3, 3))
+        for i, f in enumerate(scene.all_facets):
+            rows[i, 0] = f.normal
+            if f.kind != "plane":
+                rows[i, 1:] = f.frame[:2]
+        refs = np.array([f.point for f in scene.all_facets]).reshape(-1, 3)
+        at = {f.id: i for i, f in enumerate(scene.all_facets)}
+        fi = np.array([at[fid] for _, fid in keys], dtype=np.intp)
+        m = np.array([frames[p][1] for p, _ in keys]).reshape(-1, 3, 3)
+        b = np.array([frames[p][2] for p, _ in keys]).reshape(-1, 3)
+        self._vecs = np.einsum("uij,ukj->uki", m, rows[fi])
+        self._offs = np.einsum("uki,ui->uk", self._vecs,
+                               np.einsum("uij,uj->ui", m, refs[fi]) + b)
 
     def eval(self, points: np.ndarray, orientation=None):
         """Yield (seq, lengths, amp, tnorm, valid) per sequence for a point block.
@@ -269,86 +308,20 @@ class ImagePathTable:
         part of `orientation` (default: the co-pol vector); `tnorm` is the
         launch transverse magnitude used by the cross-pol test.
 
-        Every point of the unfolded specular chain is an affine combination of
-        the voxel block and fixed antenna-image sets, and every physical
-        segment length is a fraction of the unfolded total, so the whole
-        validity computation runs on (V, A) scalar fields.
+        Every leg is tested on the unfolded line p + t (I0 - p), of length
+        L, from the point to the deepest antenna image: leg j is the interval
+        (t_j, t_{j+1}), t_0 = 0, and the last leg ends at 1. A reflected
+        facet (normal n', offset c) is crossed at t = s_p / (s_p - s_I), with
+        s_p = p.n' - c per point and s_I = I0.n' - c per antenna, when
+        (t - t_j) L and (t_{j+1} - t) L exceed EPS_SELF and the crossing is
+        inside its edges. A facet against which all s_p and s_I share one
+        strict sign is skipped before any (V, A) array exists: the computed t
+        then lies outside [0, 1], so the skipped mask is empty.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         ori = self.copol if orientation is None else unit(orientation)
-        ants = self.antennas
-        # Keyed by object identity, so it must not outlive this call: `ori`
-        # is a fresh array on every call.
-        cache: dict = {}
-
-        def dot(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
-            key = (id(base), id(vec))
-            out = cache.get(key)
-            if out is None:
-                out = cache[key] = base @ vec
-            return out
-
-        def term_dot(terms, vec):
-            acc = None
-            for coeff, base, axis in terms:
-                d = dot(base, vec)
-                d = d[:, None] if axis == 0 else d[None, :]
-                x = d if coeff is None else coeff * d
-                acc = x if acc is None else acc + x
-            return acc
-
-        def cross(facet, a_terms, b_terms, seg_len, margin):
-            """(mask, tau) of the open physical segment a -> b crossing
-            `facet` at least `margin` inside its edges, with tau the crossing
-            fraction along the segment; None if it crosses nowhere."""
-            n = facet.normal
-            off = float(facet.point @ n)
-            sa = term_dot(a_terms, n) - off
-            sb = term_dot(b_terms, n) - off
-            crossing = (sa * sb) < 0.0
-            if not crossing.any():
-                return None
-            denom = np.where(sa == sb, 1.0, sa - sb)
-            tau = np.where(crossing, sa / denom, 0.5)
-            t_m = tau * seg_len
-            crossing &= (t_m > EPS_SELF) & (t_m < seg_len - EPS_SELF)
-            if facet.kind == "plane":
-                return crossing, tau
-
-            def xdot(vec):
-                ad = term_dot(a_terms, vec)
-                bd = term_dot(b_terms, vec)
-                return ad + tau * (bd - ad)
-
-            if facet.kind == "rectangle":
-                u_hat, v_hat, ulen, vlen = facet.frame
-                cu = xdot(u_hat) - float(facet.point @ u_hat)
-                crossing &= (cu >= margin) & (cu <= ulen - margin)
-                cv = xdot(v_hat) - float(facet.point @ v_hat)
-                crossing &= (cv >= margin) & (cv <= vlen - margin)
-                return crossing, tau
-            e1, e2, d00, d01, d11, inv_denom, scale = facet.frame
-            d20 = xdot(e1) - float(facet.point @ e1)
-            d21 = xdot(e2) - float(facet.point @ e2)
-            bv = (d11 * d20 - d01 * d21) * inv_denom
-            bw = (d00 * d21 - d01 * d20) * inv_denom
-            eps = margin / scale
-            crossing &= (bv >= eps) & (bw >= eps) & (1.0 - bv - bw >= eps)
-            return crossing, tau
-
-        def occlusion(valid, a_terms, b_terms, seg_len, ignore):
-            for f in self.scene.all_facets:
-                if f.id in ignore or f.id not in self.scene.occluder_ids:
-                    continue
-                blocked = cross(f, a_terms, b_terms, seg_len, EDGE_MARGIN)
-                if blocked is not None:
-                    valid &= ~blocked[0]
-            return valid
-
         pp = np.einsum("vi,vi->v", points, points)
-        p_ori = dot(points, ori)
-        point_terms = [(None, points, 0)]
-        ant_terms = [(None, ants, 1)]
+        p_ori = points @ ori
         for entry in self._entries:
             seq = entry["seq"]
             target0 = entry["images"][0]
@@ -358,35 +331,61 @@ class ImagePathTable:
             np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
             valid = lengths > 1e-9
             safe = np.where(valid, lengths, 1.0)
-            os_dot = (dot(target0, ori)[None, :] - p_ori[:, None]) / safe
+            os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
             w = entry["w"]
-            s_w = (dot(target0, w)[None, :] - dot(points, w)[:, None]) / safe
+            s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
             amp = float(ori @ w) - os_dot * s_w
             tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
-            # A line-of-sight sequence is a chain of zero bounces.
-            cur_terms = point_terms
-            rem = lengths
-            prev_id = None
-            for facet, image_j in zip(entry["facets"], entry["images"]):
-                # The bounce point is where the segment towards the next
-                # antenna image crosses the facet, inside its edges.
-                hit = cross(facet, cur_terms, [(None, image_j, 1)], rem, 0.0)
-                valid &= False if hit is None else hit[0]
-                if not valid.any():
-                    break
-                tau = hit[1]
-                # scale existing terms by (1 - tau), then add tau * image_j
-                q_terms = [((1.0 - tau) if c is None else c * (1.0 - tau),
-                            b, ax) for c, b, ax in cur_terms]
-                q_terms.append((tau, image_j, 1))
-                ignore = {facet.id} if prev_id is None else {prev_id, facet.id}
-                valid = occlusion(valid, cur_terms, q_terms, tau * rem, ignore)
-                rem = (1.0 - tau) * rem
-                cur_terms = q_terms
-                prev_id = facet.id
-            if valid.any():
-                valid = occlusion(valid, cur_terms, ant_terms, rem,
-                                  set(seq[-1:]))
+            # Rows 3i..3i+2: test i's normal and axes less their offsets, at
+            # the points (V columns) and at the deepest images (A columns).
+            vecs = self._vecs[entry["tests"]].reshape(-1, 3)
+            offs = self._offs[entry["tests"]].reshape(-1, 1)
+            pv, iv = vecs @ points.T - offs, vecs @ target0.T - offs
+            lo = np.minimum(pv.min(axis=1, initial=np.inf),
+                            iv.min(axis=1, initial=np.inf))
+            hi = np.maximum(pv.max(axis=1, initial=-np.inf),
+                            iv.max(axis=1, initial=-np.inf))
+            t_lo, r = 0.0, -3
+            # t is inf or NaN where s_p = s_I; every test is False there.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for bounce, occluders in entry["legs"]:
+                    t_hi = 1.0
+                    for i, f in enumerate(bounce + occluders):
+                        r += 3
+                        is_bounce = i < len(bounce)
+                        if not valid.any():
+                            break
+                        if lo[r] > 0.0 or hi[r] < 0.0:  # the sign cull
+                            if is_bounce:
+                                valid[:] = False
+                            continue
+                        s_p = pv[r][:, None]
+                        t = s_p / (s_p - iv[r][None, :])
+                        hit = ((t - t_lo) * lengths > EPS_SELF) & (
+                            (t_hi - t) * lengths > EPS_SELF)
+                        if f.kind != "plane":
+                            a_p, b_p = pv[r + 1][:, None], pv[r + 2][:, None]
+                            a = a_p + t * (iv[r + 1][None, :] - a_p)
+                            b = b_p + t * (iv[r + 2][None, :] - b_p)
+                        margin = 0.0 if is_bounce else EDGE_MARGIN
+                        if f.kind == "rectangle":
+                            hit &= (a >= margin) & (a <= f.frame[2] - margin)
+                            hit &= (b >= margin) & (b <= f.frame[3] - margin)
+                        elif f.kind == "triangle":
+                            _, _, d00, d01, d11, inv_denom, scale = f.frame
+                            bv = (d11 * a - d01 * b) * inv_denom
+                            bw = (d00 * b - d01 * a) * inv_denom
+                            eps = margin / scale
+                            hit &= (bv >= eps) & (bw >= eps) & (
+                                1.0 - bv - bw >= eps)
+                        if is_bounce:
+                            # The bounce point: where the line crosses the
+                            # next bounce facet, beyond the current one.
+                            valid &= hit
+                            t_hi = t
+                        else:
+                            valid &= ~hit
+                    t_lo = t_hi
             yield seq, lengths, amp, tnorm, valid
 
     def eval_reference(self, points: np.ndarray, orientation=None):

@@ -401,9 +401,10 @@ class _Reader:
             raise ScenarioError(f"missing required field "
                                 f"'{self.where}.{key}'")
         val = self.doc[key]
-        if kind is float and isinstance(val, int):
+        if kind is float and type(val) is int:
             val = float(val)
-        if not isinstance(val, kind):
+        # JSON true/false load as bool, a subclass of int.
+        if not isinstance(val, kind) or isinstance(val, bool):
             raise ScenarioError(
                 f"field '{self.where}.{key}': expected {kind.__name__}, "
                 f"got {type(val).__name__}")

@@ -337,7 +337,9 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "huge_int_step", "huge_grid", "huge_sweep",
                                   "huge_samples", "two_coordinate_rx",
                                   "fractional_grid_dim",
-                                  "fractional_occluder_id"])
+                                  "fractional_occluder_id",
+                                  "bool_facet_id", "bool_schema_version",
+                                  "bool_step_hz"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -369,13 +371,27 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
         doc["scene"]["facets"] = [{"id": 1, "kind": "plane",
                                    "point": [0, 0, -1], "normal": [0, 0, 1]}]
         doc["scene"]["occluder_ids"] = [1.5]
+    elif edit == "bool_facet_id":
+        doc["scene"]["facets"] = [{"id": True, "kind": "plane",
+                                   "point": [0, 0, -1], "normal": [0, 0, 1]}]
+        doc["scene"]["occluder_ids"] = [1]
+    elif edit == "bool_schema_version":
+        doc["schema_version"] = True
+    elif edit == "bool_step_hz":
+        doc["sweep"]["step_hz"] = True
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace("1e+308", "1e999"))
     assert main(["forward", "--scenario", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    # JSON true/false are no numbers, though Python's bool is an int.
+    field = {"bool_facet_id": "scene.facets[0].id'",
+             "bool_schema_version": "scenario.schema_version'",
+             "bool_step_hz": "sweep.step_hz'"}.get(edit, "")
+    assert field in err
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):

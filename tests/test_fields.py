@@ -353,6 +353,70 @@ class TestCornerReflectorImages:
         assert min(kept.values()) >= 20
 
 
+class TestWedgeReflectorImages:
+    """A 60-degree PEC wedge, two 20 m x 40 m plates on the apex edge (the y
+    axis), is exact under image theory with five image dipoles at order 3
+    (Balanis, Antenna Theory, 4th ed., 2016). Its two mirrors do not
+    commute, so the order in which a sequence's bounces act is tested too:
+    in the polarization transport and in the unfolding of the path table."""
+
+    FLOOR = Facet.rectangle(1, (0, -20, 0), (0, 40, 0), (20, 0, 0))
+    SLOPE = Facet.rectangle(2, (0, -20, 0), (0, 40, 0),
+                            (10, 0, 10 * np.sqrt(3.0)))
+
+    def trials(self, seed, n=20):
+        """(source, copol, rx) inside the wedge 0 < phi < 60 degrees."""
+        rng = np.random.default_rng(seed)
+
+        def inside(r_lo, r_hi, y_lo, y_hi, size):
+            r = rng.uniform(r_lo, r_hi, size)
+            phi = rng.uniform(np.radians(3), np.radians(57), size)
+            return np.column_stack([r * np.cos(phi),
+                                    rng.uniform(y_lo, y_hi, size),
+                                    r * np.sin(phi)])
+
+        for _ in range(n):
+            src = DipoleSource(inside(0.2, 1.0, -0.5, 0.5, 1)[0],
+                               rng.normal(size=3))
+            copol = rng.normal(size=3)
+            yield (src, copol / np.linalg.norm(copol),
+                   inside(0.3, 1.5, 0.8, 1.5, 30))
+
+    def images(self, src):
+        """{sequence: emitting dipole}: each bounce mirrors the dipole of the
+        sequence before it; (1, 2, 1) and (2, 1, 2) give one image."""
+        out = {(): src}
+        for seq in [(1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2)]:
+            out[seq] = image_dipole(out[seq[:-1]],
+                                    (self.FLOOR, self.SLOPE)[seq[-1] - 1])
+        return out
+
+    def test_far_field_equals_image_sum(self, monkeypatch):
+        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+        sc = Scene([self.FLOOR, self.SLOPE])
+        sweep = FrequencySweep(18e9, 20e9, 1e9)
+        for src, copol, rx in self.trials(47):
+            arrays = AntennaArray(tx_positions=np.zeros((0, 3)),
+                                  rx_positions=rx, copol=copol)
+            syn = synthesize_radiation_data([src], arrays, sc, sweep,
+                                            max_order=3,
+                                            amplitude="far_field")
+            images = self.images(src)
+            dipoles = [images[seq] for seq in
+                       [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]]
+            ref = np.array([[sum(dipole_field(r, d, k, "far_field") @ copol
+                                 for d in dipoles)
+                             for k in sweep.k_values] for r in rx])
+            err = np.linalg.norm(syn.samples[0] - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+            table = ImagePathTable(sc, rx, 3, copol)
+            valid = {seq: ok for seq, _, _, _, ok
+                     in table.eval(src.position[None], src.orientation)}
+            # The two triple-bounce orders reach the same image; exactly
+            # one of them is a physical path.
+            assert np.all(valid[(1, 2, 1)] ^ valid[(2, 1, 2)])
+
+
 def scattering_arrays():
     tx = np.array([[0.0, -1.0, 0.8], [0.3, -1.0, 0.5]])
     rx = np.array([[0.1, 1.0, 0.9], [-0.4, 1.0, 0.4], [0.5, 1.0, 0.7]])

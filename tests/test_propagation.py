@@ -10,7 +10,7 @@ from rtbpa.fields import _leg_coefficients, _path_tables, _weighted_legs
 from rtbpa.geometry import GRAZING_TOL, Facet, Scene, rays_nearest_hit
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
                                enumeration_order, sbr_trace)
-from rtbpa.scenes import get_scenario
+from rtbpa.scenes import PLATE_ID, get_scenario, scenario_hidden_dipole
 
 
 def ground_scene():
@@ -515,3 +515,23 @@ class TestImagePathTableConsistency:
                 assert np.allclose(np.where(fast[4], fast[2], 0.0),
                                    np.where(ref[4], ref[2], 0.0), atol=1e-9)
                 assert np.allclose(fast[3], ref[3], atol=1e-9)  # tnorm
+
+    def test_fast_eval_matches_reference_on_builtin_wall_scene(self):
+        # Grid row i = 94 (x = 0.305 m) of hidden_dipole_wall: the (1, 3)
+        # bounce points land on the wall's bottom edge, where an in-extent
+        # coordinate is zero up to rounding against a margin of 0.
+        s = scenario_hidden_dipole(side_wall=True)
+        nj = s.grid.dims[1]
+        row = s.grid.centers_block(94 * nj, 95 * nj)
+        # A block on the plate's plane (s_p = 0 for the plate on each
+        # sequence's first leg) cannot be culled by sign: it takes the full
+        # test.
+        plate = s.scene.by_id[PLATE_ID]
+        on_plate = plate.point + np.linspace(-0.5, 1.5, 16)[:, None] * (
+            plate.edge_u + plate.edge_v)
+        table = ImagePathTable(s.scene, s.arrays.rx_positions, 2,
+                               s.arrays.copol)
+        for pts in (row, on_plate):
+            for fast, ref in zip(table.eval(pts), table.eval_reference(pts)):
+                assert fast[0] == ref[0]
+                assert np.array_equal(fast[4], ref[4])
