@@ -208,6 +208,8 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
     Zero-bounce legs are always kept; bounced legs whose normalized co-pol
     projection falls below the cross-pol threshold are dropped.
     """
+    if not valid.any():
+        return np.zeros(valid.shape)
     if order > 0:
         keep = valid & (tnorm > 1e-12) & (np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
     else:

@@ -212,6 +212,90 @@ def sbr_trace(points, antennas, scene: Scene,
     return captured
 
 
+def _crossing_box(p_rows: np.ndarray, i_rows: np.ndarray, f, margin: float,
+                  t_lo, t_hi, lengths: np.ndarray,
+                  valid: np.ndarray) -> Optional[bool]:
+    """Decide one facet test of `ImagePathTable.eval` for a whole block from
+    per-side bounds, before any (V, A) array of the test exists.
+
+    p_rows (3, V) and i_rows (3, A) are the facet's s and in-plane
+    coordinates at the points and at the deepest images. Returns False when
+    no leg crosses the facet inside its extent less `margin`, True when every
+    valid leg does with t - t_lo and t_hi - t above EPS_SELF / L, and None
+    when the bounds cannot tell; the dense test then decides. Only when every
+    s_p has one strict sign and every s_I the other is
+    t = |s_p| / (|s_p| + |s_I|) bounded, and then so is each coordinate
+    a = (1 - t) a_p + t a_I. Each decision keeps a slack far above the
+    rounding of the dense test, so that test would return the same mask.
+    """
+    s_p, s_i = p_rows[0], i_rows[0]
+    p_lo, p_hi, i_lo, i_hi = s_p.min(), s_p.max(), s_i.min(), s_i.max()
+    if min(p_lo, i_lo) > 0.0 or max(p_hi, i_hi) < 0.0:
+        return False  # one side everywhere: every t lies outside [0, 1]
+    if p_lo > 0.0 and i_hi < 0.0:
+        near, far = (p_lo, p_hi), (-i_hi, -i_lo)
+    elif p_hi < 0.0 and i_lo > 0.0:
+        near, far = (-p_hi, -p_lo), (i_lo, i_hi)
+    else:
+        return None  # the signs straddle: t is unbounded
+    if f.kind == "triangle":
+        return None
+    # t rises with |s_p| and falls with |s_I|.
+    t_box = (near[0] / (near[0] + far[1]), near[1] / (near[1] + far[0]))
+    inside = True
+    if f.kind == "rectangle":
+        for k, extent in ((1, f.frame[2]), (2, f.frame[3])):
+            a_p = (p_rows[k].min(), p_rows[k].max())
+            a_i = (i_rows[k].min(), i_rows[k].max())
+            # a is linear in t with weights 1 - t, t >= 0: its extremes sit
+            # at the extremes of t, a_p and a_I.
+            a_lo = min((1.0 - t) * a_p[0] + t * a_i[0] for t in t_box)
+            a_hi = max((1.0 - t) * a_p[1] + t * a_i[1] for t in t_box)
+            tol = 1e-9 * (1.0 + extent + max(map(abs, a_p + a_i)))
+            if a_hi < margin - tol or a_lo > extent - margin + tol:
+                return False
+            inside &= a_lo > margin + tol and a_hi < extent - margin - tol
+    if not inside:
+        return None
+    # Only valid legs matter: the test leaves every other leg invalid.
+    if np.ndim(t_lo):
+        t_lo = np.max(t_lo, where=valid, initial=-np.inf)
+    if np.ndim(t_hi):
+        t_hi = np.min(t_hi, where=valid, initial=np.inf)
+    clear = min(t_box[0] - t_lo, t_hi - t_box[1]) - 1e-9
+    if clear * np.min(lengths, where=valid, initial=np.inf) > EPS_SELF * (
+            1.0 + 1e-9):
+        return True
+    return None
+
+
+def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
+               lengths: np.ndarray, p_rows: np.ndarray,
+               i_rows: np.ndarray) -> np.ndarray:
+    """The dense facet test of `ImagePathTable.eval`: the (V, A) mask of the
+    legs whose line crosses facet f at t with (t - t_lo) L and (t_hi - t) L
+    above EPS_SELF, inside its extent less `margin`. p_rows (2, V) and
+    i_rows (2, A) are its in-plane coordinates at the points and at the
+    deepest images."""
+    hit = ((t - t_lo) * lengths > EPS_SELF) & (
+        (t_hi - t) * lengths > EPS_SELF)
+    if f.kind == "plane":
+        return hit
+    a_p, b_p = p_rows[0][:, None], p_rows[1][:, None]
+    a = a_p + t * (i_rows[0][None, :] - a_p)
+    b = b_p + t * (i_rows[1][None, :] - b_p)
+    if f.kind == "rectangle":
+        hit &= (a >= margin) & (a <= f.frame[2] - margin)
+        hit &= (b >= margin) & (b <= f.frame[3] - margin)
+    else:
+        _, _, d00, d01, d11, inv_denom, scale = f.frame
+        bv = (d11 * a - d01 * b) * inv_denom
+        bw = (d00 * b - d01 * a) * inv_denom
+        eps = margin / scale
+        hit &= (bv >= eps) & (bw >= eps) & (1.0 - bv - bw >= eps)
+    return hit
+
+
 class ImagePathTable:
     """Precomputed image-method machinery for one antenna list.
 
@@ -314,9 +398,16 @@ class ImagePathTable:
         facet (normal n', offset c) is crossed at t = s_p / (s_p - s_I), with
         s_p = p.n' - c per point and s_I = I0.n' - c per antenna, when
         (t - t_j) L and (t_{j+1} - t) L exceed EPS_SELF and the crossing is
-        inside its edges. A facet against which all s_p and s_I share one
-        strict sign is skipped before any (V, A) array exists: the computed t
-        then lies outside [0, 1], so the skipped mask is empty.
+        inside its edges.
+
+        `_crossing_box` first bounds each test over the whole block from the
+        per-side values alone. A facet it proves missed everywhere kills a
+        bounce and is skipped as an occluder; an occluder it proves hit on
+        every valid leg kills the sequence. Only the other tests run on
+        (V, A) arrays, and they alone decide the mask, so it is the one the
+        dense test gives. The polarization transport then runs only for a
+        sequence with a valid leg: a dead sequence yields zeros for amp and
+        tnorm. Every caller reads amp and tnorm only where `valid` holds.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         ori = self.copol if orientation is None else unit(orientation)
@@ -330,21 +421,11 @@ class ImagePathTable:
             lengths = pp[:, None] - 2.0 * (points @ target0.T) + tt[None, :]
             np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
             valid = lengths > 1e-9
-            safe = np.where(valid, lengths, 1.0)
-            os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
-            w = entry["w"]
-            s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
-            amp = float(ori @ w) - os_dot * s_w
-            tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
             # Rows 3i..3i+2: test i's normal and axes less their offsets, at
             # the points (V columns) and at the deepest images (A columns).
             vecs = self._vecs[entry["tests"]].reshape(-1, 3)
             offs = self._offs[entry["tests"]].reshape(-1, 1)
             pv, iv = vecs @ points.T - offs, vecs @ target0.T - offs
-            lo = np.minimum(pv.min(axis=1, initial=np.inf),
-                            iv.min(axis=1, initial=np.inf))
-            hi = np.maximum(pv.max(axis=1, initial=-np.inf),
-                            iv.max(axis=1, initial=-np.inf))
             t_lo, r = 0.0, -3
             # t is inf or NaN where s_p = s_I; every test is False there.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -355,37 +436,38 @@ class ImagePathTable:
                         is_bounce = i < len(bounce)
                         if not valid.any():
                             break
-                        if lo[r] > 0.0 or hi[r] < 0.0:  # the sign cull
+                        margin = 0.0 if is_bounce else EDGE_MARGIN
+                        box = _crossing_box(pv[r:r + 3], iv[r:r + 3], f,
+                                            margin, t_lo, t_hi, lengths,
+                                            valid)
+                        if box is False:  # missed everywhere
                             if is_bounce:
                                 valid[:] = False
                             continue
+                        if box and not is_bounce:  # blocked everywhere
+                            valid[:] = False
+                            continue
                         s_p = pv[r][:, None]
                         t = s_p / (s_p - iv[r][None, :])
-                        hit = ((t - t_lo) * lengths > EPS_SELF) & (
-                            (t_hi - t) * lengths > EPS_SELF)
-                        if f.kind != "plane":
-                            a_p, b_p = pv[r + 1][:, None], pv[r + 2][:, None]
-                            a = a_p + t * (iv[r + 1][None, :] - a_p)
-                            b = b_p + t * (iv[r + 2][None, :] - b_p)
-                        margin = 0.0 if is_bounce else EDGE_MARGIN
-                        if f.kind == "rectangle":
-                            hit &= (a >= margin) & (a <= f.frame[2] - margin)
-                            hit &= (b >= margin) & (b <= f.frame[3] - margin)
-                        elif f.kind == "triangle":
-                            _, _, d00, d01, d11, inv_denom, scale = f.frame
-                            bv = (d11 * a - d01 * b) * inv_denom
-                            bw = (d00 * b - d01 * a) * inv_denom
-                            eps = margin / scale
-                            hit &= (bv >= eps) & (bw >= eps) & (
-                                1.0 - bv - bw >= eps)
+                        if box is None:  # the dense test
+                            hit = _facet_hit(f, margin, t, t_lo, t_hi,
+                                             lengths, pv[r + 1:r + 3],
+                                             iv[r + 1:r + 3])
+                            valid &= hit if is_bounce else ~hit
                         if is_bounce:
                             # The bounce point: where the line crosses the
                             # next bounce facet, beyond the current one.
-                            valid &= hit
                             t_hi = t
-                        else:
-                            valid &= ~hit
                     t_lo = t_hi
+            if valid.any():
+                safe = np.where(lengths > 1e-9, lengths, 1.0)
+                os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
+                w = entry["w"]
+                s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
+                amp = float(ori @ w) - os_dot * s_w
+                tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
+            else:
+                amp, tnorm = np.zeros((2,) + lengths.shape)
             yield seq, lengths, amp, tnorm, valid
 
     def eval_reference(self, points: np.ndarray, orientation=None):

@@ -417,6 +417,58 @@ class TestWedgeReflectorImages:
             assert np.all(valid[(1, 2, 1)] ^ valid[(2, 1, 2)])
 
 
+class TestParallelPlaneImages:
+    """Two infinite PEC planes x = -H and x = +H are exact under image
+    theory with two image dipoles per order, one for each alternating
+    bounce sequence (Balanis, Antenna Theory, 4th ed., 2016): an oracle for
+    transport and unfolding up to the deepest order the table admits."""
+
+    H = 0.4
+    LEFT = Facet.plane(1, (-H, 0, 0), (1, 0, 0))
+    RIGHT = Facet.plane(2, (H, 0, 0), (1, 0, 0))
+
+    def trials(self, seed, n=10):
+        """(source, copol, rx) between the planes."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            src = DipoleSource(rng.uniform([-0.3, -0.2, 0.2], [0.3, 0.2, 0.8]),
+                               rng.normal(size=3))
+            copol = rng.normal(size=3)
+            rx = rng.uniform([-0.35, 0.8, 0.1], [0.35, 1.6, 1.2], size=(30, 3))
+            yield src, copol / np.linalg.norm(copol), rx
+
+    def test_far_field_equals_image_sum_at_order_5(self, monkeypatch):
+        # With no cross-pol cut every leg counts, as in image theory.
+        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+        order = 5
+        sc = Scene([self.LEFT, self.RIGHT])
+        sweep = FrequencySweep(18e9, 20e9, 1e9)
+        for src, copol, rx in self.trials(53):
+            arrays = AntennaArray(tx_positions=np.zeros((0, 3)),
+                                  rx_positions=rx, copol=copol)
+            syn = synthesize_radiation_data([src], arrays, sc, sweep,
+                                            max_order=order,
+                                            amplitude="far_field")
+            # Each bounce mirrors the dipole of the sequence before it.
+            dipoles = [src]
+            for first in (self.LEFT, self.RIGHT):
+                img, facet = src, first
+                for _ in range(order):
+                    img = image_dipole(img, facet)
+                    dipoles.append(img)
+                    facet = self.RIGHT if facet is self.LEFT else self.LEFT
+            assert len(dipoles) == 1 + 2 * order
+            ref = np.array([[sum(dipole_field(r, d, k, "far_field") @ copol
+                                 for d in dipoles)
+                             for k in sweep.k_values] for r in rx])
+            err = np.linalg.norm(syn.samples[0] - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+            table = ImagePathTable(sc, rx, order, copol)
+            # Every one of the 1 + 2 * order sequences reaches every rx.
+            assert all(valid.all() for _, _, _, _, valid
+                       in table.eval(src.position[None], src.orientation))
+
+
 def scattering_arrays():
     tx = np.array([[0.0, -1.0, 0.8], [0.3, -1.0, 0.5]])
     rx = np.array([[0.1, 1.0, 0.9], [-0.4, 1.0, 0.4], [0.5, 1.0, 0.7]])

@@ -7,7 +7,9 @@ import pytest
 from rtbpa import propagation
 from rtbpa.errors import ScenarioError
 from rtbpa.fields import _leg_coefficients, _path_tables, _weighted_legs
-from rtbpa.geometry import GRAZING_TOL, Facet, Scene, rays_nearest_hit
+from rtbpa.geometry import (EDGE_MARGIN, GRAZING_TOL, Facet, Scene,
+                            rays_nearest_hit)
+from rtbpa.imaging import ImageGrid
 from rtbpa.propagation import (ImagePathTable, SbrConfig, enumerate_sequences,
                                enumeration_order, sbr_trace)
 from rtbpa.scenes import PLATE_ID, get_scenario, scenario_hidden_dipole
@@ -514,7 +516,11 @@ class TestImagePathTableConsistency:
                 assert np.array_equal(fast[4], ref[4])
                 assert np.allclose(np.where(fast[4], fast[2], 0.0),
                                    np.where(ref[4], ref[2], 0.0), atol=1e-9)
-                assert np.allclose(fast[3], ref[3], atol=1e-9)  # tnorm
+                if fast[4].any():
+                    # tnorm on every leg, valid or not.
+                    assert np.allclose(fast[3], ref[3], atol=1e-9)
+                else:  # a sequence with no valid leg carries no transport
+                    assert not fast[2].any() and not fast[3].any()
 
     def test_fast_eval_matches_reference_on_builtin_wall_scene(self):
         # Grid row i = 94 (x = 0.305 m) of hidden_dipole_wall: the (1, 3)
@@ -535,3 +541,104 @@ class TestImagePathTableConsistency:
             for fast, ref in zip(table.eval(pts), table.eval_reference(pts)):
                 assert fast[0] == ref[0]
                 assert np.array_equal(fast[4], ref[4])
+
+
+def _builtin_blocks():
+    """(name, table, points): 128-voxel blocks of built-in scenes."""
+    logo = get_scenario("tum_logo")
+    # The first block of the letters strip (rows 48.. of the 1 cm grid),
+    # which lies wholly in the plate's shadow.
+    strip = ImageGrid(origin=logo.grid.voxel_center(0, 48),
+                      axes=logo.grid.axes, spacing=logo.grid.spacing,
+                      dims=(128, 32, 1))
+    cases = [("tum_logo", logo, 2, [strip.centers_block(0, 128)]),
+             ("three_spheres", get_scenario("three_spheres"), 1, []),
+             ("hidden_dipole_wall", scenario_hidden_dipole(side_wall=True),
+              2, []),
+             ("parallel_plates", get_scenario("parallel_plates"), 3, [])]
+    for name, s, order, extra in cases:
+        n = s.grid.n_voxels
+        blocks = extra + [s.grid.centers_block(lo, lo + 128)
+                          for lo in (0, n // 2 - 64, n - 128)]
+        ants = s.arrays.rx_positions
+        table = ImagePathTable(s.scene, ants, order, s.arrays.copol)
+        for k, pts in enumerate(blocks):
+            yield f"{name}_{k}", table, pts
+
+
+def _adversarial_blocks():
+    """(name, table, points) whose crossings sit on a rectangle's edge, at
+    EDGE_MARGIN from it, on a facet's plane, or on both sides of a shadow.
+
+    The plate x, z in [0, 1] at y = 1 stands over the ground. Points at
+    y = 0 and antennas at y = 2, all with one x, cross it at that x; with
+    both at y = 0.5 they reflect off it (sequence (2,)) at that x."""
+    plate = Facet.rectangle(2, (0, 1, 0), (1, 0, 0), (0, 0, 1))
+    scene = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
+    z_pts = np.linspace(0.2, 0.8, 8)
+    z_ants = np.linspace(0.1, 0.9, 6)
+
+    def line(x, y, z):
+        return np.column_stack([np.full(z.size, x), np.full(z.size, y), z])
+
+    for x in (0.0, EDGE_MARGIN, 1.0 - EDGE_MARGIN, 1.0, 0.5):
+        for y_pts, y_ants in ((0.0, 2.0), (0.5, 0.5)):
+            table = ImagePathTable(scene, line(x, y_ants, z_ants), 2,
+                                   (1, 0, 0))
+            yield (f"x{x:g}_y{y_pts:g}_{y_ants:g}", table,
+                   line(x, y_pts, z_pts))
+    ants = np.column_stack([np.linspace(-0.5, 1.5, 9), np.full(9, 2.0),
+                            np.full(9, 0.5)])
+    table = ImagePathTable(scene, ants, 2, (1, 0, 0))
+    shadow = np.column_stack([np.linspace(-0.5, 1.5, 40), np.zeros(40),
+                              np.full(40, 0.5)])
+    yield "shadow_straddle", table, shadow
+    on_plane = plate.point + np.linspace(-0.5, 1.5, 16)[:, None] * (
+        plate.edge_u + plate.edge_v)
+    yield "on_plate_plane", table, on_plane
+    yield "on_ground_plane", table, on_plane * [1, 1, 0]
+
+
+class TestCrossingBoxCull:
+    """The crossing-box cull skips only facet tests whose result it has
+    proven: with `_crossing_box` reduced to "no bound", every facet takes
+    the dense test, and eval yields the same arrays bit for bit."""
+
+    def test_cull_changes_no_yielded_array(self, monkeypatch):
+        outcomes = set()
+        box = propagation._crossing_box
+
+        def spy(*args):
+            out = box(*args)
+            outcomes.add(out)
+            return out
+
+        cases = list(_builtin_blocks()) + list(_adversarial_blocks())
+        for name, table, pts in cases:
+            monkeypatch.setattr(propagation, "_crossing_box", spy)
+            culled = list(table.eval(pts))
+            monkeypatch.setattr(propagation, "_crossing_box",
+                                lambda *args: None)
+            dense = list(table.eval(pts))
+            assert len(culled) == len(dense) == len(table.sequences)
+            for got, want in zip(culled, dense):
+                assert got[0] == want[0]
+                for k in range(1, 5):  # lengths, amp, tnorm, valid
+                    assert np.array_equal(got[k], want[k]), (name, got[0], k)
+        # Each branch fired: proven missed, proven hit and no bound.
+        assert outcomes == {False, True, None}
+
+    def test_dead_sequence_yields_zero_transport(self):
+        # tum_logo's letters strip: LOS, (2,), (2, 1) and (1, 2) carry no
+        # valid leg there.
+        _, table, pts = next(c for c in _builtin_blocks()
+                             if c[0] == "tum_logo_0")
+        dead = 0
+        for seq, _, amp, tnorm, valid in table.eval(pts):
+            if not valid.any():
+                dead += 1
+                assert not amp.any() and not tnorm.any()
+                assert not _leg_coefficients(len(seq), amp, tnorm, valid,
+                                             np.ones(valid.shape),
+                                             "phase_only").any()
+        assert dead == 4
