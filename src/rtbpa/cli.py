@@ -83,6 +83,8 @@ def _check_flag_ranges(args) -> None:
     if args.grid and math.prod(args.grid) > MAX_VOXELS:
         raise ScenarioError(f"--grid of {math.prod(args.grid)} voxels exceeds "
                             f"the cap of {MAX_VOXELS}")
+    if args.seed < 0:
+        raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
     if args.workers is not None and args.workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
 

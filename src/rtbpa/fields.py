@@ -142,11 +142,27 @@ class MeasurementSet:
         return self.tx_positions.shape[0]
 
 
-def _unit_phasor(phi: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(phi), dtype=np.complex128)
-    out.real = np.cos(phi)
-    out.imag = np.sin(phi)
-    return out
+def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
+    """Yield w * exp(+j k L) for each k of a uniform sweep, in place: two
+    trig passes over the nonzero weights, then one multiply per k by the
+    phasor of the span's step (k[-1] - k[0]) / (K - 1), whose rounding does
+    not grow with K. The one leg-phase formula: back-projection uses these
+    phasors and forward synthesis their conjugate (real w)."""
+    nz = w != 0
+
+    def phasor(k):  # exp(+j k L) where w != 0, else 0
+        out = np.zeros(w.shape, dtype=np.complex128)
+        np.cos(k * lengths, out=out.real, where=nz)
+        np.sin(k * lengths, out=out.imag, where=nz)
+        return out
+
+    p = w * phasor(kvals[0])
+    step = (phasor((kvals[-1] - kvals[0]) / (kvals.size - 1))
+            if kvals.size > 1 else None)
+    for i in range(kvals.size):
+        if i:
+            p *= step
+        yield p
 
 
 def dipole_field(obs, src: DipoleSource, k: float,
@@ -171,7 +187,7 @@ def dipole_field(obs, src: DipoleSource, k: float,
     # normalization is chosen so this (not theta_hat) carries the pattern,
     # matching the transported-polarization convention of the path engines.
     e_trans = p - cos_t * rhat
-    phase = _unit_phasor(np.array(-k * dist))[()]
+    phase = np.exp(-1j * k * dist)
     if mode == "far_field":
         return src.amplitude * e_trans / dist * phase
     if mode == "phase_only":
@@ -233,7 +249,8 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
     `images` picks every sequence up to `max_order`, whatever the points.
     `sbr` picks the sequences that one `sbr_trace` launch from the points,
     seeded `sbr.rng_seed + launch`, captured at any antenna of the set, up to
-    `sbr.max_bounces` (default: an `SbrConfig` with `max_order` bounces).
+    `max_order` bounces (default: an `SbrConfig` with `max_order` bounces;
+    one with any other `max_bounces` is refused).
     """
     if path_engine == "images":
         fixed = [ImagePathTable(scene, ants, max_order, copol)
@@ -242,7 +259,10 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
     if path_engine != "sbr":
         raise ValueError(f"unknown path engine {path_engine!r}")
     cfg = sbr if sbr is not None else SbrConfig(max_bounces=max_order)
-    _check_order(cfg.max_bounces)  # refuse before any launch
+    if cfg.max_bounces != max_order:
+        raise ValueError(f"SBR max_bounces {cfg.max_bounces} does not match "
+                         f"max_order {max_order}")
+    _check_order(max_order)  # refuse before any launch
 
     def tables(points, launch=0):
         per_antenna = sbr_trace(points, np.concatenate(antenna_sets), scene,
@@ -251,7 +271,7 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
         for ants in antenna_sets:
             seqs = set().union(*per_antenna[start:start + len(ants)])
             start += len(ants)
-            out.append(ImagePathTable(scene, ants, cfg.max_bounces, copol,
+            out.append(ImagePathTable(scene, ants, max_order, copol,
                                       enumeration_order(seqs, scene)))
         return out
     return tables
@@ -271,14 +291,14 @@ def _leg_spectrum(table: ImagePathTable, point: np.ndarray,
                   orientation: np.ndarray, kvals: np.ndarray,
                   amplitude: AmplitudeMode) -> np.ndarray:
     """Sum of coeff * exp(-j k L) over all legs of `table` from `point`,
-    shape (A, K)."""
-    acc = np.zeros((table.antennas.shape[0], kvals.size), dtype=np.complex128)
+    shape (A, K): the conjugate of the back-projection's phasors."""
+    acc = np.zeros((kvals.size, table.antennas.shape[0]), dtype=np.complex128)
     for lengths, coeff in _weighted_legs(table, point[None, :], amplitude,
                                          orientation):
         if np.any(coeff):
-            acc += coeff[0][:, None] * _unit_phasor(-lengths[0][:, None]
-                                                    * kvals)
-    return acc
+            for i, p in enumerate(_phasors(kvals, lengths[0], coeff[0])):
+                acc[i] += p
+    return acc.T.conj()
 
 
 def synthesize_radiation_data(sources: Sequence[DipoleSource],

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
 from .fields import (AntennaArray, FrequencySweep, MeasurementSet,
-                     PointScatterer, _path_tables, _weighted_legs,
-                     synthesize_scattering_data)
+                     PointScatterer, _path_tables, _phasors,
+                     _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig
 
@@ -130,25 +130,6 @@ class ReconstructionConfig:
             raise ValueError("max_order must be >= 0")
         if self.path_engine not in ("images", "sbr"):
             raise ValueError(f"unknown path engine {self.path_engine!r}")
-
-
-def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
-    """Yield w * exp(+j k L) for each k of a uniform sweep, in place: two
-    trig passes over the nonzero weights, then one multiply per k."""
-    nz = w != 0
-
-    def phasor(k):  # exp(+j k L) where w != 0, else 0
-        out = np.zeros(w.shape, dtype=np.complex128)
-        np.cos(k * lengths, out=out.real, where=nz)
-        np.sin(k * lengths, out=out.imag, where=nz)
-        return out
-
-    p = w * phasor(kvals[0])
-    step = phasor(kvals[1] - kvals[0]) if kvals.size > 1 else None
-    for i in range(kvals.size):
-        if i:
-            p *= step
-        yield p
 
 
 def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],

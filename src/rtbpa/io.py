@@ -121,6 +121,9 @@ def read_measurements(path) -> MeasurementSet:
             "<c8").reshape(n_tx, n_rx, n_k).astype(np.complex128)
     if mode not in (0, 1):
         raise ScenarioError(f"{path}: mode byte {mode} is neither 0 nor 1")
+    if n_tx == 0 or n_rx == 0:
+        raise ScenarioError(f"{path}: empty antenna axis ({n_tx} tx, {n_rx} "
+                            f"rx)")
     if not np.all(np.isfinite(copol)) or not np.any(copol):
         raise ScenarioError(f"{path}: copol must be finite and nonzero")
     for name, pos in (("tx positions", tx), ("rx positions", rx)):

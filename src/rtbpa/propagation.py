@@ -51,6 +51,8 @@ class SbrConfig:
             raise ValueError("max_bounces must be >= 0")
         if not (self.capture_radius > 0):  # NaN fails it too
             raise ValueError("capture_radius must be > 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _check_order(max_order: int) -> None:

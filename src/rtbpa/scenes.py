@@ -527,6 +527,10 @@ def _scenario_from_doc(doc) -> Scenario:
     rx = _read_vecs(ra, "rx_positions")
     copol = _read_vec(ra, "copol")
     ra.finish()
+    if rx.shape[0] == 0:
+        raise ScenarioError(f"field '{ra.where}.rx_positions': no antenna")
+    if mode == "scattering" and tx.shape[0] == 0:
+        raise ScenarioError(f"field '{ra.where}.tx_positions': no antenna")
 
     rw = r.sub("sweep")
     sweep = FrequencySweep(f_start=rw.get("f_start_hz", float),

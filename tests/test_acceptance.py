@@ -293,8 +293,9 @@ def test_criterion_6_virtual_aperture_resolution():
             xs.extend(images[valid[0], 0].tolist())
         width[order] = max(xs) - min(xs)
     # The grid's valid legs per sequence length. This scene admits no valid
-    # order-3 leg anywhere on its grid (a FOUND line of CHANGES.md), so the
-    # order-3 step of the monotonicity holds trivially; the report shows it.
+    # order-3 leg anywhere on its grid, so the order-3 step of the
+    # monotonicity holds trivially; the report shows it, and
+    # test_order_3_chain_narrows_psf checks order 3 on wider plates.
     legs = [0] * 4
     n = scenario.grid.n_voxels
     for lo in range(0, n, 128):
@@ -309,6 +310,35 @@ def test_criterion_6_virtual_aperture_resolution():
             + f"; ratio {ratio:.2f} (<= 0.7); aperture oracle "
             f"{width[0]:.2f} m -> {width[3]:.2f} m; valid grid legs by "
             "sequence length 0-3: " + ", ".join(map(str, legs)))
+
+
+def test_order_3_chain_narrows_psf():
+    # Criterion 6's frozen scene admits no order-3 leg. Plates twice as far
+    # apart that run on to y = 0.95, just short of the rx plane, let
+    # (1, 2, 1) and (2, 1, 2) reach it, so each order, the third too, must
+    # narrow the main lobe along x.
+    plates = [Facet.rectangle(fid, (x, -0.8, 0.2), (0, 1.75, 0), (0, 0, 1.0))
+              for fid, x in ((1, -0.6), (2, 0.6))]
+    scene = Scene(plates)
+    src = DipoleSource((0.0, -0.3, 0.7), (0, 0, 1))
+    xs, zs = np.meshgrid(np.linspace(-0.48, 0.48, 24),
+                         np.linspace(0.2, 1.2, 20), indexing="ij")
+    rx = np.column_stack([xs.ravel(), np.full(xs.size, 1.0), zs.ravel()])
+    arrays = AntennaArray(np.zeros((0, 3)), rx, (0, 0, 1))
+    grid = ImageGrid.planar(src.position, (1, 0, 0), (0, 1, 0),
+                            (0.0015, 0.01), (161, 1))
+    table = ImagePathTable(scene, rx, 3, arrays.copol)
+    valid = {seq: int(np.count_nonzero(v)) for seq, _, _, _, v
+             in table.eval(grid.centers_block(0, grid.n_voxels))}
+    assert valid[(1, 2, 1)] > 0 and valid[(2, 1, 2)] > 0
+    data = synthesize_radiation_data([src], arrays, scene,
+                                     FrequencySweep(18e9, 20e9, 100e6),
+                                     max_order=3)
+    fwhm = []
+    for order in range(4):
+        img = rt_bpa(data, grid, scene, ReconstructionConfig(max_order=order))
+        fwhm.append(psf_metrics(img, img.axes[0], img.peak_index()).fwhm)
+    assert np.all(np.diff(fwhm) < 0), fwhm
 
 
 # ---------------------------------------------------------------------------

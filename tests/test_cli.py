@@ -316,10 +316,32 @@ def test_bad_container_field_exits_2(plates_container, tmp_path, capsys,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("axis", ["rx", "tx"])
+def test_empty_antenna_axis_container_exits_2(tmp_path, capsys, axis):
+    # A well-formed container with no rx (radiation) or no tx (scattering):
+    # refused as input, not reported as a numeric failure.
+    from rtbpa.fields import MeasurementSet
+    sweep = FrequencySweep(18e9, 20e9, 100e6)
+    n_tx, n_rx = (1, 0) if axis == "rx" else (0, 2)
+    ms = MeasurementSet(
+        tx_positions=np.zeros((n_tx, 3)), rx_positions=np.ones((n_rx, 3)),
+        copol=(0, 0, 1), sweep=sweep,
+        samples=np.zeros((n_tx, n_rx, sweep.count)),
+        mode="radiation" if axis == "rx" else "scattering")
+    data = tmp_path / "empty.rtbpa"
+    rio.write_measurements(data, ms)
+    assert main(["reconstruct", "--scenario", "parallel_plates",
+                 "--data", str(data), "--max-order", "0", "--grid", "1", "1",
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "empty antenna axis" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--max-order", "-1"], ["--max-order", "6"], ["--rays", "0"],
     ["--capture-radius", "0"], ["--grid", "0", "4"], ["--workers", "0"],
     ["--rays", "1000000000000"], ["--grid", "100000", "100000"],
+    ["--seed", "-1"], ["--seed", "-1", "--engine", "sbr"],
 ], ids=lambda flags: "_".join(flags).lstrip("-"))
 def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
     out = tmp_path / "o"
@@ -339,7 +361,8 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "fractional_grid_dim",
                                   "fractional_occluder_id",
                                   "bool_facet_id", "bool_schema_version",
-                                  "bool_step_hz"])
+                                  "bool_step_hz", "empty_rx",
+                                  "scattering_without_tx"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -379,6 +402,13 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
         doc["schema_version"] = True
     elif edit == "bool_step_hz":
         doc["sweep"]["step_hz"] = True
+    elif edit == "empty_rx":
+        doc["arrays"]["rx_positions"] = []  # once a 1x0x21 container
+    elif edit == "scattering_without_tx":
+        # The radiation file has no tx; scattering mode needs one.
+        doc["mode"] = "scattering"
+        doc["targets"] = [{"position": [0, 0, 0.7], "reflectivity": [1, 0]}]
+        del doc["sources"]
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
@@ -390,7 +420,9 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     # JSON true/false are no numbers, though Python's bool is an int.
     field = {"bool_facet_id": "scene.facets[0].id'",
              "bool_schema_version": "scenario.schema_version'",
-             "bool_step_hz": "sweep.step_hz'"}.get(edit, "")
+             "bool_step_hz": "sweep.step_hz'",
+             "empty_rx": "arrays.rx_positions'",
+             "scattering_without_tx": "arrays.tx_positions'"}.get(edit, "")
     assert field in err
 
 

@@ -253,11 +253,33 @@ class TestSynthesizeRadiation:
             raise AssertionError("rays launched")
 
         monkeypatch.setattr("rtbpa.fields.sbr_trace", launch)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
             synthesize_radiation_data(
                 [DipoleSource((0, 0, 0.7), (1, 0, 0))], small_arrays(),
-                Scene([GROUND]), SWEEP, path_engine="sbr",
+                Scene([GROUND]), SWEEP, max_order=MAX_ORDER + 1,
+                path_engine="sbr",
                 sbr=SbrConfig(ray_count=10, max_bounces=MAX_ORDER + 1))
+
+    def test_sbr_order_mismatch_refused_before_launch(self, monkeypatch):
+        # SBR once built its tables at max_bounces, whatever max_order said.
+        from rtbpa.imaging import ReconstructionConfig, reconstruct_at_points
+        from rtbpa.propagation import SbrConfig
+
+        def launch(*args, **kwargs):
+            raise AssertionError("rays launched")
+
+        monkeypatch.setattr("rtbpa.fields.sbr_trace", launch)
+        src = DipoleSource((0, 0, 0.7), (1, 0, 0))
+        sbr = SbrConfig(ray_count=10, max_bounces=2)
+        with pytest.raises(ValueError, match="max_bounces 2 .* max_order 3"):
+            synthesize_radiation_data([src], small_arrays(), Scene([GROUND]),
+                                      SWEEP, max_order=3, path_engine="sbr",
+                                      sbr=sbr)
+        data = synthesize_radiation_data([src], small_arrays(),
+                                         Scene([GROUND]), SWEEP, max_order=1)
+        cfg = ReconstructionConfig(max_order=1, path_engine="sbr", sbr=sbr)
+        with pytest.raises(ValueError, match="max_bounces 2 .* max_order 1"):
+            reconstruct_at_points([src.position], data, Scene([GROUND]), cfg)
 
     @pytest.mark.parametrize("engine", ["images", "sbr"])
     def test_superposition_mixed_orientations(self, engine):

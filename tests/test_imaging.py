@@ -36,13 +36,13 @@ def small_grid(center=(0.0, 0.0, 0.7), n=17, spacing=0.02):
                             dims_ij=(n, n))
 
 
-def radiation_data(scene, src=(0.0, 0.0, 0.7), n_rx=24):
+def radiation_data(scene, src=(0.0, 0.0, 0.7), n_rx=24, sweep=SWEEP):
     rng = np.random.default_rng(17)
     rx = rng.uniform([-0.5, 1.0, 0.3], [0.5, 1.2, 1.1], size=(n_rx, 3))
     arrays = AntennaArray(tx_positions=np.zeros((0, 3)), rx_positions=rx,
                           copol=(1, 0, 0))
     ms = synthesize_radiation_data([DipoleSource(src, (1, 0, 0))], arrays,
-                                   scene, SWEEP, max_order=1)
+                                   scene, sweep, max_order=1)
     return ms
 
 
@@ -343,6 +343,20 @@ class TestAdjoint:
             denom = np.linalg.norm(forward.samples) * np.linalg.norm(t[:1])
             assert abs(lhs - rhs) < 1e-12 * denom
 
+    def test_exactness_long_sweep(self):
+        # K = 1001: forward samples and back-projection phasors are the same
+        # numbers, conjugated, so the residual does not grow with K.
+        worst = 0.0
+        for seed in range(20):
+            targets, arrays, scene, _, _, s = random_adjoint_instance(seed)
+            rng = np.random.default_rng(100 + seed)
+            shape = (4, 4, LONG_SWEEP.count)
+            t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            worst = max(worst, adjoint_pair_check(
+                targets, arrays, scene, LONG_SWEEP,
+                ReconstructionConfig(max_order=2), t, s))
+        assert worst < 1e-12
+
     def test_half_wave_mismatch_detected(self):
         targets, arrays, scene, sweep, t, s = random_adjoint_instance(3)
         cfg = ReconstructionConfig(max_order=2, apply_half_wave=False)
@@ -486,9 +500,21 @@ def random_legs(rng, n_v, n_ant, n_classes, zero_cols=(), zero_class=None):
 
 
 # Uniform wavenumbers (rad/m) that binary floating point holds exactly, so
-# the kernel and the oracle sum over the same k. How a sweep's rounded k
-# values are stepped is the fine-step test's subject.
+# the kernel and the oracle sum over the same k. A real sweep's k values are
+# rounded; the phasors step by the span over K - 1, and the fine-step and
+# long-sweep tests bound what that rounding costs.
 EXACT_K = 377.0 + 0.5 * np.arange(64)
+
+# 18-20 GHz in 2 MHz steps: K = 1001 rounded wavenumbers.
+LONG_SWEEP = FrequencySweep(18e9, 20e9, 2e6)
+
+
+def long_double_phasors(kvals, lengths, w, sign):
+    """Oracle: w * exp(sign j k L) in long double on the float64 k values
+    as given, (K, V, A)."""
+    phase = (sign * np.asarray(kvals, np.longdouble)[:, None, None]
+             * np.asarray(lengths, np.longdouble))
+    return w * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def relative_error(got, want):
@@ -499,7 +525,7 @@ class TestCoherentSum:
     def test_matches_direct_sum_on_fine_step(self):
         # A 1 kHz step at 20 GHz: rounding makes the wavenumber steps differ
         # by more than 1e-9 relative, yet the sweep is uniform by
-        # construction and the first step's phasor serves every step.
+        # construction and the span's step phasor serves every step.
         kvals = FrequencySweep(20e9, 20e9 + 4e3, 1e3).k_values
         steps = np.diff(kvals)
         assert kvals.size == 5
@@ -536,6 +562,33 @@ class TestCoherentSum:
         got = _sum_radiation(t0, kvals, legs)
         assert relative_error(got, direct_sum(t0[None], kvals, None,
                                               legs)) <= 1e-12
+
+    def test_long_sweep_matches_long_double_sum(self):
+        # Stepping by kvals[1] - kvals[0] carries k0's rounding into every
+        # step, about 5e-11 relative after 1000 of them on 3 m legs. Forward
+        # samples are the conjugate phasors of the same recurrence.
+        from rtbpa.fields import _weighted_legs
+        kvals = LONG_SWEEP.k_values
+        assert kvals.size == 1001
+        rng = np.random.default_rng(46)
+        lengths = rng.uniform(0.5, 3.0, size=(4, 6))
+        w = rng.choice([-1.0, 0.0, 1.0], size=(4, 6))
+        t0 = (rng.normal(size=(6, kvals.size))
+              + 1j * rng.normal(size=(6, kvals.size)))
+        got = _sum_radiation(t0, kvals, [(lengths, w)])
+        want = (long_double_phasors(kvals, lengths, w, +1)
+                * t0.T[:, None, :]).sum(axis=(0, 2))
+        assert relative_error(got, want) <= 1e-12
+
+        sc = Scene([GROUND])
+        ms = radiation_data(sc, n_rx=6, sweep=LONG_SWEEP)
+        src = DipoleSource((0.0, 0.0, 0.7), (1, 0, 0))
+        table = ImagePathTable(sc, ms.rx_positions, 1, ms.copol)
+        want = sum(long_double_phasors(kvals, lengths, w, -1)[:, 0].T
+                   for lengths, w in _weighted_legs(
+                       table, src.position[None], "phase_only",
+                       src.orientation))
+        assert relative_error(ms.samples[0], want) <= 1e-12
 
     def test_all_zero_side_gives_zero(self):
         rng = np.random.default_rng(45)

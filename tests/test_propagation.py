@@ -355,6 +355,11 @@ class TestFindPathsSbr:
         with pytest.raises(ValueError, match="capture_radius"):
             SbrConfig(capture_radius=float("nan"))
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator refuses it only at launch, as a traceback.
+        with pytest.raises(ValueError, match="rng_seed"):
+            SbrConfig(rng_seed=-1)
+
 
 def _packed_case():
     """100 antennas within 5 cm of a source 10 cm over a ground plane, with
