@@ -75,9 +75,10 @@ def _check_flag_ranges(args) -> None:
                             f"got {args.max_order}")
     if not 1 <= args.rays <= MAX_RAYS:
         raise ScenarioError(f"--rays must be in 1..{MAX_RAYS}, got {args.rays}")
-    if not args.capture_radius > 0:
-        raise ScenarioError(
-            f"--capture-radius must be > 0, got {args.capture_radius}")
+    radius = args.capture_radius
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise ScenarioError("--capture-radius must be > 0 with a finite "
+                            f"square, got {radius}")
     if args.grid and min(args.grid) < 1:
         raise ScenarioError(f"--grid must be >= 1, got {args.grid}")
     if args.grid and math.prod(args.grid) > MAX_VOXELS:

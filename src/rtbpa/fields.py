@@ -224,8 +224,6 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
     Zero-bounce legs are always kept; bounced legs whose normalized co-pol
     projection falls below the cross-pol threshold are dropped.
     """
-    if not valid.any():
-        return np.zeros(valid.shape)
     if order > 0:
         keep = valid & (tnorm > 1e-12) & (np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
     else:
@@ -279,8 +277,8 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
 
 def _weighted_legs(table: ImagePathTable, points: np.ndarray,
                    amplitude: AmplitudeMode, orientation=None) -> list:
-    """(lengths, coeff) per sequence of `table` for a point block, each
-    (V, A)."""
+    """(lengths, coeff) per sequence of `table` with a valid leg in a point
+    block, each (V, A)."""
     return [(lengths, _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
                                         amplitude))
             for seq, lengths, amp, tnorm, valid

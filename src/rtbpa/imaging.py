@@ -143,8 +143,14 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
     skipped. The work is (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes.
     """
     def live(legs):  # (lengths, w, cols) cut to the nonzero columns
-        cut = [(L, w, np.flatnonzero(np.any(w, axis=0))) for L, w in legs]
-        return [(L[:, c], w[:, c], c) for L, w, c in cut if c.size]
+        out = []
+        for L, w in legs:
+            c = np.flatnonzero(np.any(w, axis=0))
+            if c.size == w.shape[1]:  # all live: no copy
+                out.append((L, w, slice(None)))
+            elif c.size:  # np.take keeps C order; L[:, c] would not
+                out.append((np.take(L, c, axis=1), np.take(w, c, axis=1), c))
+        return out
 
     acc = np.zeros(n_v, dtype=np.complex128)
     rx, tx = live(rx_legs), None if tx_legs is None else live(tx_legs)
@@ -232,7 +238,7 @@ def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
         return out if job.half_wave else [(L, np.abs(w)) for L, w in out]
 
     rx_legs = legs(job.rx_table)
-    if not rx_legs:  # an SBR launch that reached no antenna
+    if not rx_legs:  # no rx sequence has a valid leg in the chunk
         return np.zeros(points.shape[0], dtype=np.complex128)
     if job.tx_table is None:
         return _sum_radiation(job.samples[0], job.kvals, rx_legs)

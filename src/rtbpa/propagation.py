@@ -11,6 +11,7 @@ the PEC bounces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -49,8 +50,11 @@ class SbrConfig:
             raise ValueError(f"ray_count must be in 1..{MAX_RAYS}")
         if self.max_bounces < 0:
             raise ValueError("max_bounces must be >= 0")
-        if not (self.capture_radius > 0):  # NaN fails it too
-            raise ValueError("capture_radius must be > 0")
+        # NaN fails it too; sbr_trace squares the radius.
+        if not (self.capture_radius > 0
+                and math.isfinite(self.capture_radius * self.capture_radius)):
+            raise ValueError("capture_radius must be > 0 with a finite "
+                             f"square, got {self.capture_radius}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -214,61 +218,56 @@ def sbr_trace(points, antennas, scene: Scene,
     return captured
 
 
-def _crossing_box(p_rows: np.ndarray, i_rows: np.ndarray, f, margin: float,
-                  t_lo, t_hi, lengths: np.ndarray,
-                  valid: np.ndarray) -> Optional[bool]:
+def _crossing_box(p_box, i_box, f, margin: float, t_lo: float, t_hi: float,
+                  l_min: float):
     """Decide one facet test of `ImagePathTable.eval` for a whole block from
-    per-side bounds, before any (V, A) array of the test exists.
+    per-side bounds, before any (V, A) array of the sequence exists.
 
-    p_rows (3, V) and i_rows (3, A) are the facet's s and in-plane
-    coordinates at the points and at the deepest images. Returns False when
-    no leg crosses the facet inside its extent less `margin`, True when every
-    valid leg does with t - t_lo and t_hi - t above EPS_SELF / L, and None
-    when the bounds cannot tell; the dense test then decides. Only when every
-    s_p has one strict sign and every s_I the other is
-    t = |s_p| / (|s_p| + |s_I|) bounded, and then so is each coordinate
-    a = (1 - t) a_p + t a_I. Each decision keeps a slack far above the
-    rounding of the dense test, so that test would return the same mask.
+    p_box and i_box are (minima, maxima) of the facet's s and in-plane
+    coordinates over the points and over the deepest images. t_lo is an upper
+    bound on the leg's start t, t_hi a lower bound on its end t and l_min a
+    lower bound on L, each over the legs that can still be valid.
+
+    Returns (decision, t_box). decision is False when no leg crosses the
+    facet inside its extent less `margin`, True when every valid leg does
+    with t - t_lo and t_hi - t above EPS_SELF / L, and None when the bounds
+    cannot tell; the dense test then decides. t_box bounds the crossing t
+    of every valid leg. Only when every s_p has one strict sign and every s_I
+    the other is t = |s_p| / (|s_p| + |s_I|) bounded by the block, and then
+    so is each coordinate a = (1 - t) a_p + t a_I; otherwise t_box is
+    (0, 1), which holds on a valid leg. Each decision keeps a slack far above
+    the rounding of the dense test, so that test would return the same mask.
     """
-    s_p, s_i = p_rows[0], i_rows[0]
-    p_lo, p_hi, i_lo, i_hi = s_p.min(), s_p.max(), s_i.min(), s_i.max()
+    p_lo, p_hi, i_lo, i_hi = p_box[0][0], p_box[1][0], i_box[0][0], i_box[1][0]
     if min(p_lo, i_lo) > 0.0 or max(p_hi, i_hi) < 0.0:
-        return False  # one side everywhere: every t lies outside [0, 1]
+        return False, (0.0, 1.0)  # one side everywhere: t lies outside [0, 1]
     if p_lo > 0.0 and i_hi < 0.0:
         near, far = (p_lo, p_hi), (-i_hi, -i_lo)
     elif p_hi < 0.0 and i_lo > 0.0:
         near, far = (-p_hi, -p_lo), (i_lo, i_hi)
     else:
-        return None  # the signs straddle: t is unbounded
-    if f.kind == "triangle":
-        return None
+        return None, (0.0, 1.0)  # the signs straddle: t is unbounded
     # t rises with |s_p| and falls with |s_I|.
     t_box = (near[0] / (near[0] + far[1]), near[1] / (near[1] + far[0]))
+    if f.kind == "triangle":
+        return None, t_box
     inside = True
     if f.kind == "rectangle":
         for k, extent in ((1, f.frame[2]), (2, f.frame[3])):
-            a_p = (p_rows[k].min(), p_rows[k].max())
-            a_i = (i_rows[k].min(), i_rows[k].max())
+            a_p = (p_box[0][k], p_box[1][k])
+            a_i = (i_box[0][k], i_box[1][k])
             # a is linear in t with weights 1 - t, t >= 0: its extremes sit
             # at the extremes of t, a_p and a_I.
             a_lo = min((1.0 - t) * a_p[0] + t * a_i[0] for t in t_box)
             a_hi = max((1.0 - t) * a_p[1] + t * a_i[1] for t in t_box)
             tol = 1e-9 * (1.0 + extent + max(map(abs, a_p + a_i)))
             if a_hi < margin - tol or a_lo > extent - margin + tol:
-                return False
+                return False, t_box
             inside &= a_lo > margin + tol and a_hi < extent - margin - tol
-    if not inside:
-        return None
-    # Only valid legs matter: the test leaves every other leg invalid.
-    if np.ndim(t_lo):
-        t_lo = np.max(t_lo, where=valid, initial=-np.inf)
-    if np.ndim(t_hi):
-        t_hi = np.min(t_hi, where=valid, initial=np.inf)
     clear = min(t_box[0] - t_lo, t_hi - t_box[1]) - 1e-9
-    if clear * np.min(lengths, where=valid, initial=np.inf) > EPS_SELF * (
-            1.0 + 1e-9):
-        return True
-    return None
+    if inside and clear * l_min > EPS_SELF * (1.0 + 1e-9):
+        return True, t_box
+    return None, t_box
 
 
 def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
@@ -296,6 +295,32 @@ def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
         eps = margin / scale
         hit &= (bv >= eps) & (bw >= eps) & (1.0 - bv - bw >= eps)
     return hit
+
+
+def _box_decisions(legs, p_box, i_box, l_min: float) -> Optional[list]:
+    """`_crossing_box`'s decision on every facet test of one sequence, in
+    `ImagePathTable.eval`'s order, or None when one of them proves the
+    sequence dead: a bounce missed or an occluder hit everywhere. p_box and
+    i_box are (per-row minima, per-row maxima) of the test rows at the
+    points and at the deepest images. A bounce's t bounds end the leg it
+    closes and start the next one."""
+    boxes, t_lo, r = [], 0.0, -3
+    for bounce, occluders in legs:
+        t_hi = t_next = 1.0
+        for i, f in enumerate(bounce + occluders):
+            r += 3
+            is_bounce = i < len(bounce)
+            box, t_box = _crossing_box(
+                (p_box[0][r:r + 3], p_box[1][r:r + 3]),
+                (i_box[0][r:r + 3], i_box[1][r:r + 3]), f,
+                0.0 if is_bounce else EDGE_MARGIN, t_lo, t_hi, l_min)
+            if box is (not is_bounce):  # missed bounce, blocking occluder
+                return None
+            boxes.append(box)
+            if is_bounce:
+                t_hi, t_next = t_box
+        t_lo = t_next
+    return boxes
 
 
 class ImagePathTable:
@@ -387,7 +412,8 @@ class ImagePathTable:
                                np.einsum("uij,uj->ui", m, refs[fi]) + b)
 
     def eval(self, points: np.ndarray, orientation=None):
-        """Yield (seq, lengths, amp, tnorm, valid) per sequence for a point block.
+        """Yield (seq, lengths, amp, tnorm, valid) for each sequence with a
+        valid leg in a point block, in table order.
 
         lengths/amp/tnorm/valid have shape (V, A). `amp` is the signed,
         unnormalized co-pol amplitude after PEC transport of the transverse
@@ -402,32 +428,46 @@ class ImagePathTable:
         (t - t_j) L and (t_{j+1} - t) L exceed EPS_SELF and the crossing is
         inside its edges.
 
-        `_crossing_box` first bounds each test over the whole block from the
-        per-side values alone. A facet it proves missed everywhere kills a
-        bounce and is skipped as an occluder; an occluder it proves hit on
-        every valid leg kills the sequence. Only the other tests run on
-        (V, A) arrays, and they alone decide the mask, so it is the one the
-        dense test gives. The polarization transport then runs only for a
-        sequence with a valid leg: a dead sequence yields zeros for amp and
-        tnorm. Every caller reads amp and tnorm only where `valid` holds.
+        `_box_decisions` first decides each test over the whole block from
+        the per-side values alone, with L bounded below by the gap between
+        the bounding boxes of the points and of the deepest images. A
+        sequence it proves dead costs O(V + A): no (V, A) array of it is
+        built. Only the undecided tests run on (V, A) arrays, and they alone
+        decide the mask, so it is the one the dense test gives. A sequence
+        whose mask ends empty is not yielded either.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not (points.size and self.antennas.size):
+            return  # no leg at all
         ori = self.copol if orientation is None else unit(orientation)
         pp = np.einsum("vi,vi->v", points, points)
         p_ori = points @ ori
+        p_lo, p_hi = points.min(axis=0), points.max(axis=0)
+        p_far = float(np.sqrt(pp.max()))
         for entry in self._entries:
-            seq = entry["seq"]
             target0 = entry["images"][0]
-            # |target - point| via the expanded square, no (V, A, 3) tensor.
             tt = np.einsum("ai,ai->a", target0, target0)
-            lengths = pp[:, None] - 2.0 * (points @ target0.T) + tt[None, :]
-            np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
-            valid = lengths > 1e-9
             # Rows 3i..3i+2: test i's normal and axes less their offsets, at
             # the points (V columns) and at the deepest images (A columns).
             vecs = self._vecs[entry["tests"]].reshape(-1, 3)
             offs = self._offs[entry["tests"]].reshape(-1, 1)
             pv, iv = vecs @ points.T - offs, vecs @ target0.T - offs
+            # L is at least the gap between the bounding boxes, less a margin
+            # far above the rounding of the expanded square below.
+            gap = np.maximum(0.0, np.maximum(target0.min(axis=0) - p_hi,
+                                             p_lo - target0.max(axis=0)))
+            l_min = math.sqrt(max(float(gap @ gap) - 1e-12 * (
+                p_far + math.sqrt(tt.max())) ** 2, 0.0))
+            boxes = _box_decisions(
+                entry["legs"], (pv.min(axis=1).tolist(),
+                                pv.max(axis=1).tolist()),
+                (iv.min(axis=1).tolist(), iv.max(axis=1).tolist()), l_min)
+            if boxes is None:
+                continue
+            # |target - point| via the expanded square, no (V, A, 3) tensor.
+            lengths = pp[:, None] - 2.0 * (points @ target0.T) + tt[None, :]
+            np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
+            valid = lengths > 1e-9
             t_lo, r = 0.0, -3
             # t is inf or NaN where s_p = s_I; every test is False there.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -435,42 +475,33 @@ class ImagePathTable:
                     t_hi = 1.0
                     for i, f in enumerate(bounce + occluders):
                         r += 3
-                        is_bounce = i < len(bounce)
+                        if boxes[r // 3] is False:  # an occluder missed
+                            continue
                         if not valid.any():
                             break
-                        margin = 0.0 if is_bounce else EDGE_MARGIN
-                        box = _crossing_box(pv[r:r + 3], iv[r:r + 3], f,
-                                            margin, t_lo, t_hi, lengths,
-                                            valid)
-                        if box is False:  # missed everywhere
-                            if is_bounce:
-                                valid[:] = False
-                            continue
-                        if box and not is_bounce:  # blocked everywhere
-                            valid[:] = False
-                            continue
+                        is_bounce = i < len(bounce)
                         s_p = pv[r][:, None]
                         t = s_p / (s_p - iv[r][None, :])
-                        if box is None:  # the dense test
-                            hit = _facet_hit(f, margin, t, t_lo, t_hi,
-                                             lengths, pv[r + 1:r + 3],
-                                             iv[r + 1:r + 3])
+                        if boxes[r // 3] is None:  # the dense test
+                            hit = _facet_hit(
+                                f, 0.0 if is_bounce else EDGE_MARGIN, t,
+                                t_lo, t_hi, lengths, pv[r + 1:r + 3],
+                                iv[r + 1:r + 3])
                             valid &= hit if is_bounce else ~hit
                         if is_bounce:
                             # The bounce point: where the line crosses the
                             # next bounce facet, beyond the current one.
                             t_hi = t
                     t_lo = t_hi
-            if valid.any():
-                safe = np.where(lengths > 1e-9, lengths, 1.0)
-                os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
-                w = entry["w"]
-                s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
-                amp = float(ori @ w) - os_dot * s_w
-                tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
-            else:
-                amp, tnorm = np.zeros((2,) + lengths.shape)
-            yield seq, lengths, amp, tnorm, valid
+            if not valid.any():
+                continue
+            safe = np.where(lengths > 1e-9, lengths, 1.0)
+            os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
+            w = entry["w"]
+            s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
+            amp = float(ori @ w) - os_dot * s_w
+            tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
+            yield entry["seq"], lengths, amp, tnorm, valid
 
     def eval_reference(self, points: np.ndarray, orientation=None):
         """Straightforward per-sequence walk kept as an oracle for eval()."""

@@ -136,9 +136,11 @@ def _assert_hidden(scene: Scene, emitters: np.ndarray, rx: np.ndarray,
     if not blocked.all():
         raise ScenarioError("occluder does not block every direct segment")
     table = ImagePathTable(scene, rx, 1, copol)
-    for seq, _, _, _, valid in table.eval(emitters):
-        if seq == (GROUND_ID,) and not valid.all():
-            raise ScenarioError("a ground-bounce path is blocked or invalid")
+    ground = [valid for seq, _, _, _, valid in table.eval(emitters)
+              if seq == (GROUND_ID,)]
+    # eval yields no sequence that has no valid leg.
+    if not (ground and ground[0].all()):
+        raise ScenarioError("a ground-bounce path is blocked or invalid")
 
 
 _LOGO_COLUMNS = {

@@ -223,7 +223,7 @@ def test_criterion_4_three_target_recovery():
 # entropy rises by 0.56% (frozen floor: 0.4%); both strict inequalities hold.
 
 
-def test_criterion_5_half_wave_necessity():
+def test_criterion_5_half_wave_necessity(valid_masks):
     scenario = scenario_hidden_dipole(side_wall=True)
     data = synthesize_radiation_data(scenario.sources, scenario.arrays,
                                      scenario.scene, scenario.sweep,
@@ -233,8 +233,8 @@ def test_criterion_5_half_wave_necessity():
     # side-wall bounce.
     table = ImagePathTable(scenario.scene, scenario.arrays.rx_positions, 1,
                            scenario.arrays.copol)
-    coverage = {seq: int(valid.sum()) for seq, _, _, _, valid
-                in table.eval(scenario.sources[0].position[None, :])}
+    coverage = {seq: int(valid.sum()) for seq, valid in valid_masks(
+        table, scenario.sources[0].position[None, :]).items()}
     assert coverage[()] == 0, "LOS must be blocked"
     bounce_classes = [seq for seq, n in coverage.items() if len(seq) == 1
                       and n > 0]
@@ -285,10 +285,10 @@ def test_criterion_6_virtual_aperture_resolution():
     width = {}
     for order in (0, 3):
         xs = []
-        for entry, (seq, _, _, _, valid) in zip(
-                table._entries, table.eval(center[None, :])):
-            if len(seq) > order or not valid.any():
+        for seq, _, _, _, valid in table.eval(center[None, :]):
+            if len(seq) > order:
                 continue
+            entry = table._entries[table.sequences.index(seq)]
             images = entry["images"][0] if seq else table.antennas
             xs.extend(images[valid[0], 0].tolist())
         width[order] = max(xs) - min(xs)
@@ -312,7 +312,7 @@ def test_criterion_6_virtual_aperture_resolution():
             "sequence length 0-3: " + ", ".join(map(str, legs)))
 
 
-def test_order_3_chain_narrows_psf():
+def test_order_3_chain_narrows_psf(valid_masks):
     # Criterion 6's frozen scene admits no order-3 leg. Plates twice as far
     # apart that run on to y = 0.95, just short of the rx plane, let
     # (1, 2, 1) and (2, 1, 2) reach it, so each order, the third too, must
@@ -328,8 +328,8 @@ def test_order_3_chain_narrows_psf():
     grid = ImageGrid.planar(src.position, (1, 0, 0), (0, 1, 0),
                             (0.0015, 0.01), (161, 1))
     table = ImagePathTable(scene, rx, 3, arrays.copol)
-    valid = {seq: int(np.count_nonzero(v)) for seq, _, _, _, v
-             in table.eval(grid.centers_block(0, grid.n_voxels))}
+    valid = {seq: int(np.count_nonzero(v)) for seq, v in valid_masks(
+        table, grid.centers_block(0, grid.n_voxels)).items()}
     assert valid[(1, 2, 1)] > 0 and valid[(2, 1, 2)] > 0
     data = synthesize_radiation_data([src], arrays, scene,
                                      FrequencySweep(18e9, 20e9, 100e6),

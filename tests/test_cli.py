@@ -342,6 +342,8 @@ def test_empty_antenna_axis_container_exits_2(tmp_path, capsys, axis):
     ["--capture-radius", "0"], ["--grid", "0", "4"], ["--workers", "0"],
     ["--rays", "1000000000000"], ["--grid", "100000", "100000"],
     ["--seed", "-1"], ["--seed", "-1", "--engine", "sbr"],
+    ["--capture-radius", "inf"], ["--capture-radius", "nan"],
+    ["--capture-radius", "1e308", "--engine", "sbr"],
 ], ids=lambda flags: "_".join(flags).lstrip("-"))
 def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
     out = tmp_path / "o"

@@ -351,19 +351,22 @@ class TestCornerReflectorImages:
             err = np.linalg.norm(syn.samples[0] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
 
-    def test_phase_only_signs_match_image_dipoles(self):
+    def test_phase_only_signs_match_image_dipoles(self, valid_masks):
         sc = Scene([self.FLOOR, self.WALL])
         kept = dict.fromkeys([(), (1,), (2,), (1, 2), (2, 1)], 0)
         for src, copol, rx in self.trials(43):
             table = ImagePathTable(sc, rx, 2, copol)
-            legs = {seq: (lengths, valid) for seq, lengths, _, _, valid
-                    in table.eval(src.position[None], src.orientation)}
+            valid = valid_masks(table, src.position[None], src.orientation)
             # The two double-bounce orders reach the same image; exactly
             # one of them is a physical path.
-            assert np.all(legs[(1, 2)][1] ^ legs[(2, 1)][1])
+            assert np.all(valid[(1, 2)] ^ valid[(2, 1)])
+            # _weighted_legs follows the sequences eval yields.
+            seqs = [leg[0] for leg
+                    in table.eval(src.position[None], src.orientation)]
             weights = fields._weighted_legs(table, src.position[None],
                                             "phase_only", src.orientation)
-            for seq, (lengths, w) in zip(table.sequences, weights):
+            assert len(weights) == len(seqs)
+            for seq, (lengths, w) in zip(seqs, weights):
                 img = self.images(src)[seq]
                 for a in np.flatnonzero(w[0]):
                     # Undo the propagation phase: the image dipole's
@@ -413,7 +416,7 @@ class TestWedgeReflectorImages:
                                     (self.FLOOR, self.SLOPE)[seq[-1] - 1])
         return out
 
-    def test_far_field_equals_image_sum(self, monkeypatch):
+    def test_far_field_equals_image_sum(self, monkeypatch, valid_masks):
         monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
         sc = Scene([self.FLOOR, self.SLOPE])
         sweep = FrequencySweep(18e9, 20e9, 1e9)
@@ -432,8 +435,7 @@ class TestWedgeReflectorImages:
             err = np.linalg.norm(syn.samples[0] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
             table = ImagePathTable(sc, rx, 3, copol)
-            valid = {seq: ok for seq, _, _, _, ok
-                     in table.eval(src.position[None], src.orientation)}
+            valid = valid_masks(table, src.position[None], src.orientation)
             # The two triple-bounce orders reach the same image; exactly
             # one of them is a physical path.
             assert np.all(valid[(1, 2, 1)] ^ valid[(2, 1, 2)])
@@ -459,7 +461,8 @@ class TestParallelPlaneImages:
             rx = rng.uniform([-0.35, 0.8, 0.1], [0.35, 1.6, 1.2], size=(30, 3))
             yield src, copol / np.linalg.norm(copol), rx
 
-    def test_far_field_equals_image_sum_at_order_5(self, monkeypatch):
+    def test_far_field_equals_image_sum_at_order_5(self, monkeypatch,
+                                                   valid_masks):
         # With no cross-pol cut every leg counts, as in image theory.
         monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
         order = 5
@@ -487,8 +490,8 @@ class TestParallelPlaneImages:
             assert err <= 1e-12 * np.linalg.norm(ref)
             table = ImagePathTable(sc, rx, order, copol)
             # Every one of the 1 + 2 * order sequences reaches every rx.
-            assert all(valid.all() for _, _, _, _, valid
-                       in table.eval(src.position[None], src.orientation))
+            assert all(valid.all() for valid in valid_masks(
+                table, src.position[None], src.orientation).values())
 
 
 def scattering_arrays():
@@ -540,7 +543,7 @@ class TestSynthesizeScattering:
         b = synthesize_scattering_data(t2, arrays, sc, SWEEP, max_order=1)
         assert np.allclose(b.samples, (-1.3 + 0.4j) * a.samples, atol=1e-12)
 
-    def test_blocked_los_pairs_carry_bounces(self):
+    def test_blocked_los_pairs_carry_bounces(self, valid_masks):
         from rtbpa.scenes import scenario_three_spheres
         s = scenario_three_spheres(n_rx_x=6, n_rx_y=5)
         ms = synthesize_scattering_data(s.targets, s.arrays, s.scene, s.sweep,
@@ -551,9 +554,7 @@ class TestSynthesizeScattering:
         table = ImagePathTable(s.scene, s.arrays.rx_positions, 1,
                                s.arrays.copol)
         centers = np.array([t.position for t in s.targets])
-        for seq, _, _, _, valid in table.eval(centers):
-            if seq == ():
-                assert not valid.any()
+        assert not valid_masks(table, centers)[()].any()
 
 
 class TestMeasurementSet:

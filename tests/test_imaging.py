@@ -590,6 +590,38 @@ class TestCoherentSum:
                        src.orientation))
         assert relative_error(ms.samples[0], want) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_cut_columns_keep_the_bits(self, mode):
+        # The kernel cuts a class to its live antenna columns and passes a
+        # class whose columns are all live through uncopied: removing the
+        # all-zero columns (and their samples) before the call must not
+        # change one bit of the sum.
+        rng = np.random.default_rng(48)
+        kvals = SWEEP.k_values
+        n_v, n_tx, n_rx = 128, 5, 40
+
+        def side(n_ant, zero_cols, n_classes, zero_class=None):
+            legs = random_legs(rng, n_v, n_ant, n_classes, zero_cols,
+                               zero_class)
+            live = np.setdiff1d(np.arange(n_ant), zero_cols)
+            return legs, live, [(np.take(L, live, axis=1),
+                                 np.take(w, live, axis=1)) for L, w in legs]
+
+        rx_legs, rx_live, rx_cut = side(n_rx, [0, 7, 8, 39], 3, zero_class=2)
+        if mode == "radiation":
+            t0 = (rng.normal(size=(n_rx, kvals.size))
+                  + 1j * rng.normal(size=(n_rx, kvals.size)))
+            got = _sum_radiation(t0, kvals, rx_legs)
+            want = _sum_radiation(t0[rx_live], kvals, rx_cut)
+        else:
+            tx_legs, tx_live, tx_cut = side(n_tx, [2], 2)
+            t = (rng.normal(size=(n_tx, n_rx, kvals.size))
+                 + 1j * rng.normal(size=(n_tx, n_rx, kvals.size)))
+            got = _sum_scattering(t, kvals, tx_legs, rx_legs, n_v)
+            want = _sum_scattering(t[tx_live][:, rx_live], kvals, tx_cut,
+                                   rx_cut, n_v)
+        assert np.array_equal(got, want)
+
     def test_all_zero_side_gives_zero(self):
         rng = np.random.default_rng(45)
         kvals = SWEEP.k_values[:4]

@@ -36,6 +36,18 @@ def sbr_table_legs(scene, point, antenna, cfg, copol=(0, 1, 0)):
             in table.eval([point]) if valid[0, 0]}
 
 
+def eval_against_reference(table, pts, orientation=None):
+    """[(eval item, eval_reference item)] per sequence eval yields, once eval
+    is shown to yield exactly, in table order, the sequences for which the
+    reference finds a valid leg."""
+    ref = {item[0]: item for item
+           in table.eval_reference(pts, orientation=orientation)}
+    fast = list(table.eval(pts, orientation=orientation))
+    assert [item[0] for item in fast] == [
+        seq for seq, item in ref.items() if item[4].any()]
+    return [(item, ref[item[0]]) for item in fast]
+
+
 def reference_trace(points, antennas, scene, cfg):
     """The SBR launch with one capture pass per antenna over all live rays:
     the oracle of `sbr_trace`'s prefiltered, blocked capture test."""
@@ -360,6 +372,16 @@ class TestFindPathsSbr:
         with pytest.raises(ValueError, match="rng_seed"):
             SbrConfig(rng_seed=-1)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"),
+                                        float("inf"), 1e308, 2e154])
+    def test_capture_radius_with_no_finite_square_rejected(self, radius):
+        # sbr_trace squares the radius: 1e308 ** 2 raised OverflowError.
+        with pytest.raises(ValueError, match="capture_radius"):
+            SbrConfig(capture_radius=radius)
+
+    def test_largest_capture_radius_accepted(self):
+        assert SbrConfig(capture_radius=1e154).capture_radius == 1e154
+
 
 def _packed_case():
     """100 antennas within 5 cm of a source 10 cm over a ground plane, with
@@ -497,8 +519,7 @@ class TestImagePathTableConsistency:
         ants = rng.uniform([-0.6, 0.9, 0.2], [0.6, 1.1, 1.2], size=(25, 3))
         table = ImagePathTable(sc, ants, 2, copol=(1, 0, 0))
         pts = rng.uniform([-0.6, -0.9, 0.05], [0.6, 0.3, 1.3], size=(30, 3))
-        for fast, ref in zip(table.eval(pts), table.eval_reference(pts)):
-            assert fast[0] == ref[0]
+        for fast, ref in eval_against_reference(table, pts):
             assert np.array_equal(fast[4], ref[4])  # valid masks
             assert np.allclose(fast[1], ref[1], atol=1e-9)  # lengths
             assert np.allclose(np.where(fast[4], fast[2], 0.0),
@@ -516,16 +537,12 @@ class TestImagePathTableConsistency:
         for _ in range(40):
             pts = rng.uniform([-0.5, -0.5, 0.2], [0.5, 0.3, 1.0], size=(4, 3))
             ori = rng.normal(size=3)
-            for fast, ref in zip(table.eval(pts, orientation=ori),
-                                 table.eval_reference(pts, orientation=ori)):
+            for fast, ref in eval_against_reference(table, pts, ori):
                 assert np.array_equal(fast[4], ref[4])
                 assert np.allclose(np.where(fast[4], fast[2], 0.0),
                                    np.where(ref[4], ref[2], 0.0), atol=1e-9)
-                if fast[4].any():
-                    # tnorm on every leg, valid or not.
-                    assert np.allclose(fast[3], ref[3], atol=1e-9)
-                else:  # a sequence with no valid leg carries no transport
-                    assert not fast[2].any() and not fast[3].any()
+                # tnorm on every leg, valid or not.
+                assert np.allclose(fast[3], ref[3], atol=1e-9)
 
     def test_fast_eval_matches_reference_on_builtin_wall_scene(self):
         # Grid row i = 94 (x = 0.305 m) of hidden_dipole_wall: the (1, 3)
@@ -543,8 +560,7 @@ class TestImagePathTableConsistency:
         table = ImagePathTable(s.scene, s.arrays.rx_positions, 2,
                                s.arrays.copol)
         for pts in (row, on_plate):
-            for fast, ref in zip(table.eval(pts), table.eval_reference(pts)):
-                assert fast[0] == ref[0]
+            for fast, ref in eval_against_reference(table, pts):
                 assert np.array_equal(fast[4], ref[4])
 
 
@@ -615,7 +631,7 @@ class TestCrossingBoxCull:
 
         def spy(*args):
             out = box(*args)
-            outcomes.add(out)
+            outcomes.add(out[0])
             return out
 
         cases = list(_builtin_blocks()) + list(_adversarial_blocks())
@@ -623,9 +639,9 @@ class TestCrossingBoxCull:
             monkeypatch.setattr(propagation, "_crossing_box", spy)
             culled = list(table.eval(pts))
             monkeypatch.setattr(propagation, "_crossing_box",
-                                lambda *args: None)
+                                lambda *args: (None, (0.0, 1.0)))
             dense = list(table.eval(pts))
-            assert len(culled) == len(dense) == len(table.sequences)
+            assert len(culled) == len(dense)
             for got, want in zip(culled, dense):
                 assert got[0] == want[0]
                 for k in range(1, 5):  # lengths, amp, tnorm, valid
@@ -633,17 +649,30 @@ class TestCrossingBoxCull:
         # Each branch fired: proven missed, proven hit and no bound.
         assert outcomes == {False, True, None}
 
-    def test_dead_sequence_yields_zero_transport(self):
+    def test_yields_exactly_the_sequences_with_a_valid_leg(self):
+        cases = list(_builtin_blocks()) + list(_adversarial_blocks())
+        for name, table, pts in cases:
+            live = [seq for seq, _, _, _, valid in table.eval_reference(pts)
+                    if valid.any()]
+            assert [item[0] for item in table.eval(pts)] == live, name
+
+    def test_strip_yields_only_the_ground_bounce(self, monkeypatch):
         # tum_logo's letters strip: LOS, (2,), (2, 1) and (1, 2) carry no
-        # valid leg there.
+        # valid leg there. The box proves each of them dead from the
+        # per-side values, before any (V, A) array of it exists, and decides
+        # every test of (1,), so no dense facet test runs at all.
         _, table, pts = next(c for c in _builtin_blocks()
                              if c[0] == "tum_logo_0")
-        dead = 0
-        for seq, _, amp, tnorm, valid in table.eval(pts):
-            if not valid.any():
-                dead += 1
-                assert not amp.any() and not tnorm.any()
-                assert not _leg_coefficients(len(seq), amp, tnorm, valid,
-                                             np.ones(valid.shape),
-                                             "phase_only").any()
-        assert dead == 4
+        decided, dense = [], []
+        box = propagation._box_decisions
+
+        def spy(*args):
+            decided.append(box(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(propagation, "_box_decisions", spy)
+        monkeypatch.setattr(propagation, "_facet_hit",
+                            lambda *args: dense.append(args))
+        assert [item[0] for item in table.eval(pts)] == [(1,)]
+        assert sum(boxes is None for boxes in decided) == 4
+        assert dense == []

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rtbpa.errors import ScenarioError
-from rtbpa.geometry import segments_blocked
+from rtbpa.geometry import Facet, Scene, segments_blocked
 from rtbpa.propagation import ImagePathTable
-from rtbpa.scenes import (GROUND_ID, SCENARIOS, load_scenario, save_scenario,
+from rtbpa.scenes import (GROUND_ID, PLATE_ID, SCENARIOS, _assert_hidden,
+                          load_scenario, save_scenario,
                           scenario_parallel_plates, scenario_three_spheres,
                           scenario_tum_logo, scenario_text)
 
@@ -36,14 +37,29 @@ class TestTumLogo:
         assert segments_blocked(s.sources[0].position,
                                 s.arrays.rx_positions[57], s.scene)
 
-    def test_every_pair_has_ground_bounce(self):
+    def test_every_pair_has_ground_bounce(self, valid_masks):
         s = scenario_tum_logo(n_rx_x=12, n_rx_y=10)
         table = ImagePathTable(s.scene, s.arrays.rx_positions, 1,
                                s.arrays.copol)
         emitters = np.array([src.position for src in s.sources])
-        found = {seq: valid for seq, _, _, _, valid in table.eval(emitters)}
+        found = valid_masks(table, emitters)
         assert found[(GROUND_ID,)].all()
         assert not found[()].any()
+
+    def test_blocked_ground_bounce_refused(self):
+        # The plate hides the rx from the emitter, and the ground bounce
+        # passes under it. A mat just above the ground between them blocks
+        # that bounce, so eval yields no ground sequence at all.
+        ground = Facet.plane(GROUND_ID, (0, 0, 0), (0, 0, 1))
+        plate = Facet.rectangle(PLATE_ID, (-1, 0.5, 0.3), (2, 0, 0),
+                                (0, 0, 1.5))
+        mat = Facet.rectangle(3, (-1, 0.2, 0.05), (2, 0, 0), (0, 0.6, 0))
+        emitters = np.array([[0.0, 0.0, 0.7]])
+        rx = np.array([[0.0, 1.0, 0.7], [0.2, 1.0, 0.6]])
+        _assert_hidden(Scene([ground, plate]), emitters, rx, (1, 0, 0))
+        with pytest.raises(ScenarioError, match="ground-bounce"):
+            _assert_hidden(Scene([ground, plate, mat]), emitters, rx,
+                           (1, 0, 0))
 
     def test_sources_above_ground(self):
         s = scenario_tum_logo()
