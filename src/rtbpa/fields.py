@@ -142,21 +142,101 @@ class MeasurementSet:
         return self.tx_positions.shape[0]
 
 
+# exp(jx) without libm: x = 2 pi n / _CIS_N + r with |r| <= pi / _CIS_N, a
+# table of the _CIS_N roots of unity, and a Taylor series in r whose first
+# omitted terms, r^6 / 720 and r^7 / 5040, are below 2e-18. 2 pi / _CIS_N is
+# split Cody-Waite style into a 24-bit head of np.pi (so n * head is exact
+# for |n| < 2^29), the rest of np.pi, and pi - np.pi, each scaled by the
+# power of two 2 / _CIS_N. Up to |x| = _CIS_MAX (|n| < 2^29) the result is
+# a few ulps from libm's cos + j sin (at most 1.6e-16 over 2^21 uniform
+# arguments at each scale from 1 to _CIS_MAX; the tests hold it to 1e-15);
+# above it, it is libm's.
+_CIS_N = 1024
+_CIS_BLOCK = 1 << 14  # elements per pass: a pass's temporaries stay in L2
+_CIS_MAX = float(1 << 21)
+_CIS_HEAD = float(np.float32(np.pi))
+_CIS_C1 = _CIS_HEAD * (2.0 / _CIS_N)
+_CIS_C2 = (np.pi - _CIS_HEAD) * (2.0 / _CIS_N)
+_CIS_C3 = 1.2246467991473532e-16 * (2.0 / _CIS_N)  # (pi - np.pi) * 2 / N
+
+
+def _roots_of_unity() -> np.ndarray:
+    """exp(2 pi j i / _CIS_N), i < _CIS_N: libm at a = fl(2 pi i / _CIS_N),
+    corrected to first order by the rounding 2 pi i / _CIS_N - a."""
+    i = np.arange(_CIS_N, dtype=float)
+    a = i * _CIS_C1 + i * _CIS_C2
+    eps = ((i * _CIS_C1 - a) + i * _CIS_C2) + i * _CIS_C3
+    cos, sin = np.cos(a), np.sin(a)
+    return (cos - eps * sin) + 1j * (sin + eps * cos)
+
+
+_CIS_TABLE = _roots_of_unity()
+
+
+def _cis_reduced(x: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(jx) for a 1-D x with |x| <= _CIS_MAX, block by block."""
+    for lo in range(0, x.size, _CIS_BLOCK):
+        xb, ob = x[lo:lo + _CIS_BLOCK], out[lo:lo + _CIS_BLOCK]
+        n = xb * (_CIS_N / (2.0 * np.pi))
+        np.rint(n, out=n)
+        i = n.astype(np.intp)
+        i &= _CIS_N - 1
+        r = xb - n * _CIS_C1
+        r -= n * _CIS_C2
+        r -= n * _CIS_C3
+        r2 = r * r
+        # ob = exp(jr) - 1: cos r - 1 and sin r, then ob = T + T ob.
+        t = r2 * (-1.0 / 720.0)
+        t += 1.0 / 24.0
+        t *= r2
+        t -= 0.5
+        np.multiply(t, r2, out=ob.real)
+        t = r2 * (1.0 / 120.0)
+        t -= 1.0 / 6.0
+        t *= r2
+        t *= r
+        np.add(t, r, out=ob.imag)
+        roots = _CIS_TABLE.take(i)
+        ob *= roots
+        ob += roots
+
+
+def _cis(x) -> np.ndarray:
+    """exp(jx) for any finite float array x: a unit phasor a few ulps from
+    libm's cos(x) + j sin(x) for |x| <= _CIS_MAX, libm's own above."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=np.complex128)
+    flat_x, flat = x.reshape(-1), out.reshape(-1)
+    if not flat_x.size or max(flat_x.max(), -flat_x.min()) <= _CIS_MAX:
+        _cis_reduced(flat_x, flat)
+        return out
+    small = np.abs(flat_x) <= _CIS_MAX
+    part = np.empty(np.count_nonzero(small), dtype=np.complex128)
+    _cis_reduced(flat_x[small], part)
+    flat[small] = part
+    big = flat_x[~small]
+    flat[~small] = np.cos(big) + 1j * np.sin(big)
+    return out
+
+
 def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
     """Yield w * exp(+j k L) for each k of a uniform sweep, in place: two
-    trig passes over the nonzero weights, then one multiply per k by the
+    `_cis` passes over the nonzero weights, then one multiply per k by the
     phasor of the span's step (k[-1] - k[0]) / (K - 1), whose rounding does
     not grow with K. The one leg-phase formula: back-projection uses these
     phasors and forward synthesis their conjugate (real w)."""
-    nz = w != 0
+    nz = np.flatnonzero(w)
+    l_nz = np.take(lengths, nz)
 
-    def phasor(k):  # exp(+j k L) where w != 0, else 0
+    def phasor(k, scale=None):  # scale * exp(+j k L) where w != 0, else 0
+        values = _cis(k * l_nz)
+        if scale is not None:
+            values *= scale
         out = np.zeros(w.shape, dtype=np.complex128)
-        np.cos(k * lengths, out=out.real, where=nz)
-        np.sin(k * lengths, out=out.imag, where=nz)
+        out.put(nz, values)
         return out
 
-    p = w * phasor(kvals[0])
+    p = phasor(kvals[0], np.take(w, nz))
     step = (phasor((kvals[-1] - kvals[0]) / (kvals.size - 1))
             if kvals.size > 1 else None)
     for i in range(kvals.size):

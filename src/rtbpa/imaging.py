@@ -8,6 +8,7 @@ voxel loop are independent, so the output is the same for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -28,6 +29,10 @@ _CHUNK = 128  # voxels per task; fixed so results do not depend on worker count
 # and every voxel costs a path-table evaluation.
 MAX_VOXELS = 1 << 24
 Legs = Sequence[Tuple[np.ndarray, np.ndarray]]  # (lengths, w) per leg class
+# glibc mallopt parameters (malloc.h) and the values _keep_heap sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest
 
 
 @dataclass
@@ -246,9 +251,28 @@ def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
                            rx_legs, points.shape[0])
 
 
+def _keep_heap() -> bool:
+    """Make glibc keep freed memory in this process, and in the workers it
+    forks: blocks below 32 MiB come from the heap, which is trimmed only
+    above 1 GiB of free top. A chunk frees about as much as the next one
+    allocates, so the next chunk reuses those pages instead of faulting
+    them in again; the cost is that the heap is not returned after a
+    reconstruction. True when glibc's mallopt took both settings; where
+    there is no mallopt the allocator is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1,
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1])
+
+
 def _run_job(job: _Job, workers: int) -> np.ndarray:
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _keep_heap()
     n = job.points.shape[0]
     ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     # More processes than CPUs or chunks only add start-up cost.

@@ -411,6 +411,29 @@ class ImagePathTable:
         self._offs = np.einsum("uki,ui->uk", self._vecs,
                                np.einsum("uij,uj->ui", m, refs[fi]) + b)
 
+    def _image_side(self, entry: dict) -> tuple:
+        """The values of a sequence's eval that do not depend on the points,
+        computed on its first eval (building them for every sequence in
+        __init__ would slow down tables that are evaluated once):
+        (vecs, offs, tt, iv, i_box, t_box, t_far). Rows 3i..3i+2 of
+        vecs @ x - offs are test i's normal and axes less their offsets at x;
+        iv holds them at the deepest images (A columns), i_box their per-row
+        (minima, maxima). tt is |I0|^2 per antenna, t_box the images'
+        bounding box and t_far sqrt(max tt)."""
+        side = entry.get("image_side")
+        if side is None:
+            target0 = entry["images"][0]
+            vecs = self._vecs[entry["tests"]].reshape(-1, 3)
+            offs = self._offs[entry["tests"]].reshape(-1, 1)
+            tt = np.einsum("ai,ai->a", target0, target0)
+            iv = vecs @ target0.T - offs
+            side = entry["image_side"] = (
+                vecs, offs, tt, iv,
+                (iv.min(axis=1).tolist(), iv.max(axis=1).tolist()),
+                (target0.min(axis=0), target0.max(axis=0)),
+                math.sqrt(tt.max()))
+        return side
+
     def eval(self, points: np.ndarray, orientation=None):
         """Yield (seq, lengths, amp, tnorm, valid) for each sequence with a
         valid leg in a point block, in table order.
@@ -430,11 +453,12 @@ class ImagePathTable:
 
         `_box_decisions` first decides each test over the whole block from
         the per-side values alone, with L bounded below by the gap between
-        the bounding boxes of the points and of the deepest images. A
-        sequence it proves dead costs O(V + A): no (V, A) array of it is
-        built. Only the undecided tests run on (V, A) arrays, and they alone
-        decide the mask, so it is the one the dense test gives. A sequence
-        whose mask ends empty is not yielded either.
+        the bounding boxes of the points and of the deepest images; the
+        images' side is computed once per table (`_image_side`). A
+        sequence it proves dead costs O(V) after the first eval: no (V, A)
+        array of it is built. Only the undecided tests run on (V, A) arrays,
+        and they alone decide the mask, so it is the one the dense test
+        gives. A sequence whose mask ends empty is not yielded either.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not (points.size and self.antennas.size):
@@ -446,22 +470,17 @@ class ImagePathTable:
         p_far = float(np.sqrt(pp.max()))
         for entry in self._entries:
             target0 = entry["images"][0]
-            tt = np.einsum("ai,ai->a", target0, target0)
-            # Rows 3i..3i+2: test i's normal and axes less their offsets, at
-            # the points (V columns) and at the deepest images (A columns).
-            vecs = self._vecs[entry["tests"]].reshape(-1, 3)
-            offs = self._offs[entry["tests"]].reshape(-1, 1)
-            pv, iv = vecs @ points.T - offs, vecs @ target0.T - offs
+            vecs, offs, tt, iv, i_box, t_box, t_far = self._image_side(entry)
+            pv = vecs @ points.T - offs
             # L is at least the gap between the bounding boxes, less a margin
             # far above the rounding of the expanded square below.
-            gap = np.maximum(0.0, np.maximum(target0.min(axis=0) - p_hi,
-                                             p_lo - target0.max(axis=0)))
+            gap = np.maximum(0.0, np.maximum(t_box[0] - p_hi,
+                                             p_lo - t_box[1]))
             l_min = math.sqrt(max(float(gap @ gap) - 1e-12 * (
-                p_far + math.sqrt(tt.max())) ** 2, 0.0))
+                p_far + t_far) ** 2, 0.0))
             boxes = _box_decisions(
                 entry["legs"], (pv.min(axis=1).tolist(),
-                                pv.max(axis=1).tolist()),
-                (iv.min(axis=1).tolist(), iv.max(axis=1).tolist()), l_min)
+                                pv.max(axis=1).tolist()), i_box, l_min)
             if boxes is None:
                 continue
             # |target - point| via the expanded square, no (V, A, 3) tensor.

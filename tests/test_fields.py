@@ -113,6 +113,51 @@ class TestSweep:
             FrequencySweep(18e9, 20e9, 0.0)
 
 
+def libm_cis(x):
+    return np.cos(x) + 1j * np.sin(x)
+
+
+class TestCis:
+    """fields._cis, the phasor of every leg, against libm; the suite turns
+    any warning (a cast or an overflow) into a failure."""
+
+    def test_within_bound_up_to_reduction_limit(self):
+        rng = np.random.default_rng(21)
+        node = 2.0 * np.pi / fields._CIS_N
+        nodes = node * np.arange(-2 * fields._CIS_N, 2 * fields._CIS_N + 1)
+        x = np.concatenate([
+            [0.0, -0.0, 0.5 * node, -0.5 * node, fields._CIS_MAX,
+             -fields._CIS_MAX, 5e-324],
+            nodes, nodes + 0.5 * node, nodes - 0.5 * node,
+            # Several blocks, the last one partial.
+            *(rng.uniform(-s, s, 12_000) for s in (1.0, 1e3, 1e6))])
+        got = fields._cis(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - libm_cis(x))) <= 1e-15
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-15
+        assert np.array_equal(fields._cis(x.reshape(2, -1)),
+                              got.reshape(2, -1))
+
+    def test_equals_libm_beyond_reduction_limit(self):
+        big = np.array([np.nextafter(fields._CIS_MAX, np.inf), 1e13, -1e13,
+                        1e17, -1e17, 1e300, -1e300, np.finfo(float).max])
+        small = np.array([0.25, -3.0, 1e6])
+        got = fields._cis(np.concatenate([small, big]))
+        assert np.array_equal(got[small.size:], libm_cis(big))
+        assert np.array_equal(got[:small.size], fields._cis(small))
+        assert np.all(np.abs(np.abs(got) - 1.0) <= 1e-15)
+
+    def test_empty(self):
+        assert fields._cis(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_sweep_at_the_schema_limit(self):
+        # k L near 1e292: the samples are libm's unit phasors, no warning.
+        ms = synthesize_radiation_data(
+            [DipoleSource((0, 0, 0.7), (1, 0, 0))], small_arrays(),
+            free_space(), FrequencySweep(1e300, 1e300, 1.0))
+        assert np.all(np.abs(np.abs(ms.samples) - 1.0) <= 1e-15)
+
+
 class TestSampleBudget:
     def test_sweep_above_cap_rejected(self):
         # 18-20 GHz in 2 Hz steps is 10^9 points: refused before any array.

@@ -632,6 +632,34 @@ class TestCoherentSum:
         assert got.shape == (3,) and np.all(got == 0)
 
 
+class TestHeapReuse:
+    def test_second_run_faults_in_no_fresh_pages(self):
+        # glibc would hand a chunk's freed arrays back to the system and
+        # fault them in again for the next chunk, thousands of pages each;
+        # _run_job makes it keep them, so a repeated job reuses its pages.
+        import resource
+
+        from rtbpa import imaging
+        from rtbpa.scenes import get_scenario
+        if not imaging._keep_heap():
+            pytest.skip("no glibc mallopt")
+        sc = get_scenario("parallel_plates")
+        data = synthesize_radiation_data(sc.sources, sc.arrays, sc.scene,
+                                         sc.sweep, max_order=2)
+        g = sc.grid
+        grid = ImageGrid(origin=g.origin, axes=g.axes, spacing=g.spacing,
+                         dims=(4, 128, 1))  # four chunks
+        cfg = ReconstructionConfig(max_order=2)
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            rt_bpa(data, grid, sc.scene, cfg)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        one_array = 128 * data.n_rx * 8 // resource.getpagesize()
+        assert faults[1] < one_array, faults
+
+
 class TestImageGrid:
     def test_voxel_center_layout(self):
         grid = ImageGrid(origin=(1, 2, 3), axes=np.eye(3),

@@ -525,6 +525,29 @@ class TestImagePathTableConsistency:
             assert np.allclose(np.where(fast[4], fast[2], 0.0),
                                np.where(ref[4], ref[2], 0.0), atol=1e-9)
 
+    def test_repeated_eval_matches_a_fresh_table(self):
+        # The images' side of each sequence is computed on its first eval
+        # and kept: later evals, of other blocks too, yield the same arrays
+        # as a table that never evaluated before.
+        rng = np.random.default_rng(14)
+        plate = Facet.rectangle(2, (-0.7, 0.4, 0.41), (1.4, 0, 0),
+                                (0, 0, 0.55))
+        sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
+        ants = rng.uniform([-0.6, 0.9, 0.2], [0.6, 1.1, 1.2], size=(16, 3))
+        blocks = [rng.uniform([-0.6, -0.9, 0.05], [0.6, 0.3, 1.3],
+                              size=(n, 3)) for n in (20, 7)]
+        table = ImagePathTable(sc, ants, 2, copol=(1, 0, 0))
+        first = [list(table.eval(pts)) for pts in blocks]
+        assert all(first)
+        assert all("image_side" in e for e in table._entries)
+        for pts, before in zip(blocks, first):
+            fresh = ImagePathTable(sc, ants, 2, copol=(1, 0, 0))
+            for items in (list(table.eval(pts)), list(fresh.eval(pts))):
+                assert [i[0] for i in items] == [i[0] for i in before]
+                for got, want in zip(items, before):
+                    for a, b in zip(got[1:], want[1:]):
+                        assert np.array_equal(a, b)
+
     def test_fast_eval_matches_reference_any_orientation(self):
         # Repeated calls on one table with a fresh orientation each time: no
         # value computed for an earlier orientation may leak into a later one.
