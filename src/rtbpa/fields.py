@@ -224,19 +224,24 @@ def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
     `_cis` passes over the nonzero weights, then one multiply per k by the
     phasor of the span's step (k[-1] - k[0]) / (K - 1), whose rounding does
     not grow with K. The one leg-phase formula: back-projection uses these
-    phasors and forward synthesis their conjugate (real w)."""
-    nz = np.flatnonzero(w)
-    l_nz = np.take(lengths, nz)
+    phasors and forward synthesis their conjugate (real w). Where every
+    weight is nonzero the passes run on the whole array, with no gather or
+    scatter."""
+    dense = bool(w.all())
+    nz = None if dense else np.flatnonzero(w)
+    l_nz = lengths if dense else np.take(lengths, nz)
 
     def phasor(k, scale=None):  # scale * exp(+j k L) where w != 0, else 0
         values = _cis(k * l_nz)
         if scale is not None:
             values *= scale
+        if dense:
+            return values
         out = np.zeros(w.shape, dtype=np.complex128)
         out.put(nz, values)
         return out
 
-    p = phasor(kvals[0], np.take(w, nz))
+    p = phasor(kvals[0], w if dense else np.take(w, nz))
     step = (phasor((kvals[-1] - kvals[0]) / (kvals.size - 1))
             if kvals.size > 1 else None)
     for i in range(kvals.size):

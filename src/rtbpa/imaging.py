@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
-from .fields import (AntennaArray, FrequencySweep, MeasurementSet,
-                     PointScatterer, _path_tables, _phasors,
+from .fields import (_CIS_BLOCK, AntennaArray, FrequencySweep,
+                     MeasurementSet, PointScatterer, _path_tables, _phasors,
                      _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig
@@ -144,8 +144,13 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
 
     No wavefront pair is formed: each rx class is contracted with the samples
     into u[k] (V, n_tx), then each tx class with u; radiation data (`tx_legs`
-    None) have one tx row and A_tx = 1. Columns zero over the whole block are
-    skipped. The work is (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes.
+    None) have one tx row and A_tx = 1. Columns zero over the whole chunk are
+    skipped. A class runs in row blocks of about _CIS_BLOCK elements, all K
+    steps of one block before the next, so that its phasor, the step phasor
+    and the _cis temporaries stay in L2. An rx block of R rows costs
+    R A_rx n_tx per k and a tx block R A_tx, so the work is
+    (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes per side. The blocks
+    change no sum's order, so no bit of the result depends on their size.
     """
     def live(legs):  # (lengths, w, cols) cut to the nonzero columns
         out = []
@@ -157,19 +162,27 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
                 out.append((np.take(L, c, axis=1), np.take(w, c, axis=1), c))
         return out
 
+    def blocks(classes):  # (rows, cols, k index, phasor) per row block
+        for lengths, w, cols in classes:
+            n_rows = max(1, _CIS_BLOCK // w.shape[1])
+            for lo in range(0, n_v, n_rows):
+                rows = slice(lo, lo + n_rows)
+                for i, p in enumerate(_phasors(kvals, lengths[rows],
+                                               w[rows])):
+                    yield rows, cols, i, p
+
     acc = np.zeros(n_v, dtype=np.complex128)
     rx, tx = live(rx_legs), None if tx_legs is None else live(tx_legs)
     if not rx or tx == []:
         return acc
+    samples = np.ascontiguousarray(t.transpose(2, 0, 1))  # (K, n_tx, A_rx)
     u = np.zeros((kvals.size, n_v, t.shape[0]), dtype=np.complex128)
-    for lengths, w, cols in rx:
-        for i, p in enumerate(_phasors(kvals, lengths, w)):
-            u[i] += np.einsum("va,ta->vt", p, t[:, cols, i])
+    for rows, cols, i, p in blocks(rx):
+        u[i, rows] += np.einsum("va,ta->vt", p, samples[i][:, cols])
     if tx is None:
         return u[:, :, 0].sum(axis=0)
-    for lengths, w, cols in tx:
-        for i, p in enumerate(_phasors(kvals, lengths, w)):
-            acc += np.einsum("va,va->v", u[i][:, cols], p)
+    for rows, cols, i, p in blocks(tx):
+        acc[rows] += np.einsum("va,va->v", u[i, rows][:, cols], p)
     return acc
 
 

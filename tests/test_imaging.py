@@ -622,6 +622,52 @@ class TestCoherentSum:
                                    rx_cut, n_v)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_row_blocks_keep_the_bits(self, mode, monkeypatch):
+        # Each class runs in row blocks of about imaging._CIS_BLOCK elements.
+        # One row, blocks with a partial last one (rx 36 live columns: 27
+        # rows at 1000 elements; tx 4: 25 rows at 100) and one block for the
+        # whole chunk must give the same bits.
+        from rtbpa import imaging
+        rng = np.random.default_rng(49)
+        kvals = SWEEP.k_values
+        n_v, n_tx, n_rx = 128, 5, 40
+        rx_legs = random_legs(rng, n_v, n_rx, 3, [0, 7, 8, 39], zero_class=2)
+        tx_legs = random_legs(rng, n_v, n_tx, 2, [2])
+        t = (rng.normal(size=(n_tx, n_rx, kvals.size))
+             + 1j * rng.normal(size=(n_tx, n_rx, kvals.size)))
+        got = []
+        for block in [1, 100, 1000, 1 << 30]:
+            monkeypatch.setattr(imaging, "_CIS_BLOCK", block)
+            if mode == "radiation":
+                got.append(_sum_radiation(t[0], kvals, rx_legs))
+            else:
+                got.append(_sum_scattering(t, kvals, tx_legs, rx_legs, n_v))
+        assert np.any(got[0])
+        for g in got[1:]:
+            assert np.array_equal(g, got[0])
+
+    def test_dense_class_stays_below_one_class_array(self):
+        # A whole dense class's phasor and step, (V, A) complex each, would
+        # not fit in L2; the row blocks keep the sum's peak allocation below
+        # one such array.
+        import tracemalloc
+        rng = np.random.default_rng(50)
+        kvals = SWEEP.k_values
+        n_v, n_rx = 128, 4096
+        assert kvals.size == 21
+        legs = [(rng.uniform(0.2, 1.5, size=(n_v, n_rx)),
+                 rng.choice([-1.0, 1.0], size=(n_v, n_rx)))]
+        t0 = (rng.normal(size=(n_rx, kvals.size))
+              + 1j * rng.normal(size=(n_rx, kvals.size)))
+        tracemalloc.start()
+        try:
+            _sum_radiation(t0, kvals, legs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_v * n_rx * 16, peak
+
     def test_all_zero_side_gives_zero(self):
         rng = np.random.default_rng(45)
         kvals = SWEEP.k_values[:4]
