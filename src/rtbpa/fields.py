@@ -220,29 +220,14 @@ def _cis(x) -> np.ndarray:
 
 
 def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
-    """Yield w * exp(+j k L) for each k of a uniform sweep, in place: two
-    `_cis` passes over the nonzero weights, then one multiply per k by the
-    phasor of the span's step (k[-1] - k[0]) / (K - 1), whose rounding does
-    not grow with K. The one leg-phase formula: back-projection uses these
-    phasors and forward synthesis their conjugate (real w). Where every
-    weight is nonzero the passes run on the whole array, with no gather or
-    scatter."""
-    dense = bool(w.all())
-    nz = None if dense else np.flatnonzero(w)
-    l_nz = lengths if dense else np.take(lengths, nz)
-
-    def phasor(k, scale=None):  # scale * exp(+j k L) where w != 0, else 0
-        values = _cis(k * l_nz)
-        if scale is not None:
-            values *= scale
-        if dense:
-            return values
-        out = np.zeros(w.shape, dtype=np.complex128)
-        out.put(nz, values)
-        return out
-
-    p = phasor(kvals[0], w if dense else np.take(w, nz))
-    step = (phasor((kvals[-1] - kvals[0]) / (kvals.size - 1))
+    """Yield w * exp(+j k L) for each k of a uniform sweep, in place: `_cis`
+    of every entry at k[0] and at the span's step (k[-1] - k[0]) / (K - 1),
+    whose rounding does not grow with K, then one multiply per k by the step
+    phasor. The one leg-phase formula: back-projection uses these phasors
+    and forward synthesis their conjugate (real w)."""
+    p = _cis(kvals[0] * lengths)
+    p *= w
+    step = (_cis((kvals[-1] - kvals[0]) / (kvals.size - 1) * lengths)
             if kvals.size > 1 else None)
     for i in range(kvals.size):
         if i:

@@ -2,8 +2,8 @@
 naive free-space BPA as its special case, and focus/resolution metrics.
 
 The naive BPA is the RT-BPA on a scene with no reflectors; a point list and a
-grid run the same job, and both data modes one coherent sum. Chunks of the
-voxel loop are independent, so the output is the same for any worker count.
+grid run the same job, and both data modes one coherent sum. Voxel chunks are
+boxes fixed by the grid dims, so the output is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .fields import (_CIS_BLOCK, AntennaArray, FrequencySweep,
                      MeasurementSet, PointScatterer, _path_tables, _phasors,
                      _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
-from .propagation import ImagePathTable, SbrConfig
+from .propagation import ImagePathTable, SbrConfig, _check_order
 
-_CHUNK = 128  # voxels per task; fixed so results do not depend on worker count
+_CHUNK = 128  # voxels per task at most; fixed, so no bit depends on workers
 # Largest grid: its complex values alone take 16 bytes a voxel (256 MiB here),
 # and every voxel costs a path-table evaluation.
 MAX_VOXELS = 1 << 24
@@ -131,8 +131,7 @@ class ReconstructionConfig:
     apply_half_wave: bool = True
 
     def __post_init__(self):
-        if self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
+        _check_order(self.max_order)
         if self.path_engine not in ("images", "sbr"):
             raise ValueError(f"unknown path engine {self.path_engine!r}")
 
@@ -145,12 +144,13 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
     No wavefront pair is formed: each rx class is contracted with the samples
     into u[k] (V, n_tx), then each tx class with u; radiation data (`tx_legs`
     None) have one tx row and A_tx = 1. Columns zero over the whole chunk are
-    skipped. A class runs in row blocks of about _CIS_BLOCK elements, all K
-    steps of one block before the next, so that its phasor, the step phasor
-    and the _cis temporaries stay in L2. An rx block of R rows costs
-    R A_rx n_tx per k and a tx block R A_tx, so the work is
-    (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes per side. The blocks
-    change no sum's order, so no bit of the result depends on their size.
+    skipped, and the rest run dense, zeros included. A class runs in row
+    blocks of about _CIS_BLOCK elements, all K steps of one block before the
+    next, so that its phasor, the step phasor and the _cis temporaries stay
+    in L2. An rx block of R rows costs R A_rx n_tx per k and a tx block
+    R A_tx, so the work is (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes
+    per side. The blocks change no sum's order, so no bit of the result
+    depends on their size.
     """
     def live(legs):  # (lengths, w, cols) cut to the nonzero columns
         out = []
@@ -244,10 +244,24 @@ def _build_job(data: MeasurementSet, points: np.ndarray, scene: Scene,
                 rx_table=tables["rx"], tx_table=tables.get("tx"))
 
 
-def _compute_chunk(bounds: Tuple[int, int]) -> np.ndarray:
-    lo, hi = bounds
+def _chunks(dims: Sequence[int]) -> List[np.ndarray]:
+    """Flat voxel indices per chunk: 16 x 8 x 1 boxes (8 x 4 x 4 if nz > 1)
+    clipped to the grid, each axis then grown in turn to at most _CHUNK
+    voxels, so (N, 1, 1) grids get 128-voxel runs. Edge boxes are partial."""
+    start = (16, 8, 1) if dims[2] == 1 else (8, 4, 4)
+    box = [min(d, b) for d, b in zip(dims, start)]
+    for a in range(3):
+        box[a] = min(dims[a], _CHUNK * box[a] // math.prod(box))
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    return [flat[i:i + box[0], j:j + box[1], l:l + box[2]].ravel()
+            for i in range(0, dims[0], box[0])
+            for j in range(0, dims[1], box[1])
+            for l in range(0, dims[2], box[2])]
+
+
+def _compute_chunk(voxels: np.ndarray) -> np.ndarray:
     job = _job
-    points = job.points[lo:hi]
+    points = job.points[voxels]
 
     def legs(table: ImagePathTable):
         # Unit-amplitude weights 0 or +-1: the -1 realizes the pi phase of
@@ -282,29 +296,30 @@ def _keep_heap() -> bool:
                 mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1])
 
 
-def _run_job(job: _Job, workers: int) -> np.ndarray:
+def _run_job(job: _Job, workers: int, dims: Sequence[int]) -> np.ndarray:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     _keep_heap()
-    n = job.points.shape[0]
-    ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    chunks = _chunks(dims)
     # More processes than CPUs or chunks only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, len(ranges))
+    workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers == 1:
         _set_job(job)
         try:
-            parts = [_compute_chunk(r) for r in ranges]
+            parts = [_compute_chunk(c) for c in chunks]
         finally:
             _set_job(None)
-        return np.concatenate(parts)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=workers, initializer=_set_job,
-                  initargs=(job,)) as pool:
-        parts = pool.map(_compute_chunk, ranges, chunksize=1)
-    return np.concatenate(parts)
+    else:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context()
+        with ctx.Pool(processes=workers, initializer=_set_job,
+                      initargs=(job,)) as pool:
+            parts = pool.map(_compute_chunk, chunks, chunksize=1)
+    out = np.empty(job.points.shape[0], dtype=np.complex128)
+    out[np.concatenate(chunks)] = np.concatenate(parts)
+    return out
 
 
 def naive_bpa(data: MeasurementSet, grid: ImageGrid,
@@ -327,17 +342,17 @@ def rt_bpa(data: MeasurementSet, grid: ImageGrid, scene: Scene,
     """
     job = _build_job(data, grid.centers_block(0, grid.n_voxels), scene, cfg,
                      rx_table, tx_table)
-    return grid.with_values(_run_job(job, workers))
+    return grid.with_values(_run_job(job, workers, grid.dims))
 
 
 def reconstruct_at_points(points, data: MeasurementSet, scene: Scene,
                           cfg: ReconstructionConfig) -> np.ndarray:
     """RT-BPA at an arbitrary point list, run serially by the job `rt_bpa`
-    runs: point i is treated (and the SBR engine launches from it) as
-    voxel i."""
-    job = _build_job(data, np.asarray(points, dtype=float).reshape(-1, 3),
-                     scene, cfg)
-    return _run_job(job, 1)
+    runs on an (N, 1, 1) grid: point i is treated (and the SBR engine
+    launches from it) as voxel i, and chunks are runs of _CHUNK points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    job = _build_job(data, points, scene, cfg)
+    return _run_job(job, 1, (points.shape[0], 1, 1))
 
 
 def adjoint_pair_check(targets: Sequence[PointScatterer],

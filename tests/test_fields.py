@@ -159,22 +159,22 @@ class TestCis:
 
 
 class TestPhasors:
-    def test_dense_weights_match_the_masked_path(self):
-        # With every weight nonzero _phasors skips its gather and scatter; an
-        # all-zero column appended to the same legs forces the masked path,
-        # which must give the same bits on the other columns at every k.
+    def test_zero_weights_give_zeros_and_leave_other_columns(self):
+        # _phasors runs every entry, zero weights included: an all-zero
+        # column appended to the same legs must read zero at every k and
+        # leave the bits of the other columns as they are.
         rng = np.random.default_rng(23)
         kvals = SWEEP.k_values
         lengths = rng.uniform(0.2, 3.0, size=(7, 9))
         w = rng.choice([-1.0, 1.0], size=(7, 9)) * rng.uniform(0.5, 2.0,
                                                                 (7, 9))
-        dense = [p.copy() for p in fields._phasors(kvals, lengths, w)]
-        masked = [p.copy() for p in fields._phasors(
+        alone = [p.copy() for p in fields._phasors(kvals, lengths, w)]
+        padded = [p.copy() for p in fields._phasors(
             kvals, np.hstack([lengths, np.ones((7, 1))]),
             np.hstack([w, np.zeros((7, 1))]))]
-        assert len(dense) == len(masked) == kvals.size
-        for d, m in zip(dense, masked):
-            assert np.array_equal(d, m[:, :-1])
+        assert len(alone) == len(padded) == kvals.size
+        for a, m in zip(alone, padded):
+            assert np.array_equal(a, m[:, :-1])
             assert np.all(m[:, -1] == 0)
 
 

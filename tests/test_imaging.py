@@ -11,8 +11,8 @@ from rtbpa.fields import (AntennaArray, DipoleSource, FrequencySweep,
                           synthesize_radiation_data,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
-from rtbpa.imaging import (ImageGrid, ReconstructionConfig, _sum_radiation,
-                           _sum_scattering, adjoint_pair_check,
+from rtbpa.imaging import (_CHUNK, ImageGrid, ReconstructionConfig, _chunks,
+                           _sum_radiation, _sum_scattering, adjoint_pair_check,
                            image_entropy, naive_bpa, peak_locations,
                            psf_metrics, reconstruct_at_points, rt_bpa)
 from rtbpa.propagation import ImagePathTable, SbrConfig
@@ -96,14 +96,23 @@ class TestRtBpaDegeneracy:
             out = rt_bpa(ms, grid, Scene([]), cfg)
             assert np.array_equal(out.values, ref.values)
 
-    @pytest.mark.parametrize("engine", ["images", "sbr"])
-    def test_points_equal_grid_bitwise(self, engine):
+    @pytest.mark.parametrize("engine, dims", [
+        ("images", (12, 12)), ("sbr", (12, 12)),
+        ("images", (18, 11)), ("sbr", (18, 11))],
+        ids=["images", "sbr", "images-18x11", "sbr-18x11"])
+    def test_points_equal_grid_bitwise(self, engine, dims):
         # A point list runs the job of a grid; in flat voxel order the SBR
-        # engine launches the same one ray set from the same points, so the
-        # values agree bit for bit.
+        # engine launches the same one ray set from the same points. The
+        # chunks differ (the list's are runs of 128 points, the grid's
+        # boxes), but a voxel's sum does not depend on the other voxels of
+        # its chunk, so the values agree bit for bit. 12 x 12 is cut into
+        # 12 x 10 and 12 x 2 boxes; 18 x 11 into 16 x 8, 16 x 3, 2 x 8 and
+        # 2 x 3, partial on both axes, none of a single voxel.
         sc = Scene([GROUND])
         ms = monostatic_data()
-        grid = small_grid(n=12, spacing=0.01)  # 144 voxels: two chunks
+        grid = ImageGrid.planar(center=(0.0, 0.0, 0.7), axis_i=(1, 0, 0),
+                                axis_j=(0, 1, 0), spacing_ij=(0.01, 0.01),
+                                dims_ij=dims)
         sbr = SbrConfig(ray_count=2_000, max_bounces=1, rng_seed=3)
         cfg = ReconstructionConfig(max_order=1, path_engine=engine,
                                    sbr=sbr if engine == "sbr" else None)
@@ -163,10 +172,10 @@ class TestRtBpaDegeneracy:
         monkeypatch.setattr(imaging.multiprocessing, "get_context",
                             lambda *args: RecordingContext())
         ms = radiation_data(Scene([GROUND]), n_rx=4)
-        grid = small_grid(n=18)  # 324 voxels: three chunks
+        grid = small_grid(n=18)  # 18 x 18: six 16 x 8 boxes, four partial
         cfg = ReconstructionConfig(max_order=1)
         ref = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=1)
-        for cpus, want in ((2, 2), (64, 3)):
+        for cpus, want in ((2, 2), (64, 6)):
             monkeypatch.setattr(imaging.os, "cpu_count", lambda: cpus)
             out = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=10_000)
             assert sizes[-1] == want
@@ -247,7 +256,7 @@ class TestRtBpaDegeneracy:
         sc = Scene([GROUND, plate])
         ms = (radiation_data(sc, n_rx=6) if mode == "radiation"
               else monostatic_data())
-        grid = small_grid(n=12, spacing=0.02)  # 144 voxels: two chunks
+        grid = small_grid(n=12, spacing=0.02)  # two chunks: 12 x 10, 12 x 2
         ref = rt_bpa(ms, grid, sc, ReconstructionConfig(max_order=2))
         cfg = ReconstructionConfig(
             max_order=2, path_engine="sbr",
@@ -312,6 +321,60 @@ def random_adjoint_instance(seed):
     s = (rng.normal(size=len(targets))
          + 1j * rng.normal(size=len(targets)))
     return targets, arrays, scene, sweep, t, s
+
+
+class TestReconstructionConfig:
+    @pytest.mark.parametrize("order", [-1, 6, 9])
+    def test_order_outside_range_refused(self, order):
+        # Refused at construction, also where prebuilt tables would never
+        # check it.
+        from rtbpa.propagation import MAX_ORDER
+        assert MAX_ORDER == 5
+        with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
+            ReconstructionConfig(max_order=order)
+
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_order_in_range_accepted(self, order):
+        assert ReconstructionConfig(max_order=order).max_order == order
+
+
+class TestChunks:
+    DIMS = [(1, 1, 1), (7, 3, 1), (12, 12, 1), (18, 11, 1), (128, 128, 1),
+            (161, 25, 1), (4, 128, 1), (3, 100, 1), (1, 300, 1), (5, 5, 5),
+            (64, 64, 2), (100, 2, 50), (9, 17, 6)]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_each_voxel_in_one_chunk_of_at_most_128(self, dims):
+        chunks = _chunks(dims)
+        assert max(c.size for c in chunks) <= _CHUNK == 128
+        every = np.sort(np.concatenate(chunks))
+        assert np.array_equal(every, np.arange(math.prod(dims)))
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_equal_dims_give_equal_maps(self, dims):
+        a, b = _chunks(dims), _chunks(list(np.array(dims)))
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 1024])
+    def test_point_list_chunks_are_flat_runs(self, n):
+        # reconstruct_at_points runs an (N, 1, 1) grid: consecutive runs of
+        # 128 points, the last one partial.
+        chunks = _chunks((n, 1, 1))
+        want = [np.arange(lo, min(lo + 128, n)) for lo in range(0, n, 128)]
+        assert len(chunks) == len(want)
+        assert all(np.array_equal(c, w) for c, w in zip(chunks, want))
+
+    @pytest.mark.parametrize("dims", [(4, 128, 1), (128, 4, 1), (1, 1024, 1),
+                                      (64, 64, 2), (2, 2, 64)], ids=str)
+    def test_thin_grids_get_full_chunks(self, dims):
+        assert {c.size for c in _chunks(dims)} == {128}
+
+    def test_planar_grid_cut_into_16_by_8_boxes(self):
+        flat = np.arange(128 * 128).reshape(128, 128)
+        chunks = _chunks((128, 128, 1))
+        assert len(chunks) == 128
+        assert np.array_equal(chunks[1], flat[:16, 8:16].ravel())
 
 
 class TestAdjoint:
@@ -694,7 +757,7 @@ class TestHeapReuse:
                                          sc.sweep, max_order=2)
         g = sc.grid
         grid = ImageGrid(origin=g.origin, axes=g.axes, spacing=g.spacing,
-                         dims=(4, 128, 1))  # four chunks
+                         dims=(4, 128, 1))  # four 4 x 32 chunks
         cfg = ReconstructionConfig(max_order=2)
         faults = []
         for _ in range(2):
