@@ -25,6 +25,7 @@ from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig, _check_order
 
 _CHUNK = 128  # voxels per task at most; fixed, so no bit depends on workers
+_DOT_COLS = 8192  # columns per BLAS dot at most: OpenBLAS threads above 10k
 # Largest grid: its complex values alone take 16 bytes a voxel (256 MiB here),
 # and every voxel costs a path-table evaluation.
 MAX_VOXELS = 1 << 24
@@ -142,47 +143,58 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
     with A[v, a, k] the sum of w * exp(+j k L) over a side's leg classes.
 
     No wavefront pair is formed: each rx class is contracted with the samples
-    into u[k] (V, n_tx), then each tx class with u; radiation data (`tx_legs`
-    None) have one tx row and A_tx = 1. Columns zero over the whole chunk are
-    skipped, and the rest run dense, zeros included. A class runs in row
-    blocks of about _CIS_BLOCK elements, all K steps of one block before the
-    next, so that its phasor, the step phasor and the _cis temporaries stay
-    in L2. An rx block of R rows costs R A_rx n_tx per k and a tx block
-    R A_tx, so the work is (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes
-    per side. The blocks change no sum's order, so no bit of the result
-    depends on their size.
+    into conj(u[k]) (V, n_tx), then each tx class with it; radiation data
+    (`tx_legs` None) have one tx row and A_tx = 1. Each contraction is one
+    BLAS dot (`np.vecdot`, which conjugates its first argument) per (voxel,
+    tx) output, so no side needs a conjugate pass: the rx side dots the
+    phasors with the conjugated samples, the tx side conj(u) with the
+    phasors. Columns zero over the whole chunk are skipped, and the rest run
+    dense, zeros included, in pieces of at most _DOT_COLS columns: OpenBLAS
+    threads a dot only above 10,000 elements, so no BLAS thread count can
+    change a bit. A piece runs in row blocks of about _CIS_BLOCK elements,
+    all K steps of one block before the next, so that its phasor, the step
+    phasor and the _cis temporaries stay in L2. An rx block of R rows costs
+    R A_rx n_tx per k and a tx block R A_tx, so the work is (C_rx V A_rx
+    n_tx + C_tx V A_tx) K for C classes per side. The row blocks change no
+    dot, so no bit of the result depends on their size; a dot's rounding
+    does depend on where each term sits in it, so a voxel's bits depend on
+    its chunk's live columns.
     """
-    def live(legs):  # (lengths, w, cols) cut to the nonzero columns
+    def live(legs):  # (lengths, w, cols) pieces of the nonzero columns
         out = []
         for L, w in legs:
             c = np.flatnonzero(np.any(w, axis=0))
-            if c.size == w.shape[1]:  # all live: no copy
+            if c.size == w.shape[1] <= _DOT_COLS:  # all live: no copy
                 out.append((L, w, slice(None)))
-            elif c.size:  # np.take keeps C order; L[:, c] would not
-                out.append((np.take(L, c, axis=1), np.take(w, c, axis=1), c))
+                continue
+            for lo in range(0, c.size, _DOT_COLS):
+                piece = c[lo:lo + _DOT_COLS]  # np.take keeps C order
+                out.append((np.take(L, piece, axis=1),
+                            np.take(w, piece, axis=1), piece))
         return out
 
-    def blocks(classes):  # (rows, cols, k index, phasor) per row block
-        for lengths, w, cols in classes:
-            n_rows = max(1, _CIS_BLOCK // w.shape[1])
-            for lo in range(0, n_v, n_rows):
-                rows = slice(lo, lo + n_rows)
-                for i, p in enumerate(_phasors(kvals, lengths[rows],
-                                               w[rows])):
-                    yield rows, cols, i, p
+    def blocks(lengths, w):  # (rows, k index, phasor) per row block
+        n_rows = max(1, _CIS_BLOCK // w.shape[1])
+        for lo in range(0, n_v, n_rows):
+            rows = slice(lo, lo + n_rows)
+            for i, p in enumerate(_phasors(kvals, lengths[rows], w[rows])):
+                yield rows, i, p
 
     acc = np.zeros(n_v, dtype=np.complex128)
     rx, tx = live(rx_legs), None if tx_legs is None else live(tx_legs)
     if not rx or tx == []:
         return acc
-    samples = np.ascontiguousarray(t.transpose(2, 0, 1))  # (K, n_tx, A_rx)
-    u = np.zeros((kvals.size, n_v, t.shape[0]), dtype=np.complex128)
-    for rows, cols, i, p in blocks(rx):
-        u[i, rows] += np.einsum("va,ta->vt", p, samples[i][:, cols])
+    conj_t = np.conj(t.transpose(2, 0, 1), order="C")  # (K, n_tx, A_rx)
+    uc = np.zeros((kvals.size, n_v, t.shape[0]), dtype=np.complex128)
+    for lengths, w, cols in rx:
+        s = conj_t if isinstance(cols, slice) else np.take(conj_t, cols, 2)
+        for rows, i, p in blocks(lengths, w):
+            uc[i, rows] += np.vecdot(p[:, None, :], s[i])
     if tx is None:
-        return u[:, :, 0].sum(axis=0)
-    for rows, cols, i, p in blocks(tx):
-        acc[rows] += np.einsum("va,va->v", u[i, rows][:, cols], p)
+        return np.conj(uc[:, :, 0].sum(axis=0))
+    for lengths, w, cols in tx:
+        for rows, i, p in blocks(lengths, w):
+            acc[rows] += np.vecdot(uc[i, rows][:, cols], p)
     return acc
 
 
@@ -296,13 +308,21 @@ def _keep_heap() -> bool:
                 mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_job(job: _Job, workers: int, dims: Sequence[int]) -> np.ndarray:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     _keep_heap()
     chunks = _chunks(dims)
     # More processes than CPUs or chunks only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, len(chunks))
+    workers = min(workers, _usable_cpus(), len(chunks))
     if workers == 1:
         _set_job(job)
         try:

@@ -104,8 +104,9 @@ class TestRtBpaDegeneracy:
         # A point list runs the job of a grid; in flat voxel order the SBR
         # engine launches the same one ray set from the same points. The
         # chunks differ (the list's are runs of 128 points, the grid's
-        # boxes), but a voxel's sum does not depend on the other voxels of
-        # its chunk, so the values agree bit for bit. 12 x 12 is cut into
+        # boxes), and a voxel's dots run over its chunk's live antenna
+        # columns; over a bare ground plane every column is live in every
+        # chunk, so the values agree bit for bit. 12 x 12 is cut into
         # 12 x 10 and 12 x 2 boxes; 18 x 11 into 16 x 8, 16 x 3, 2 x 8 and
         # 2 x 3, partial on both axes, none of a single voxel.
         sc = Scene([GROUND])
@@ -121,6 +122,25 @@ class TestRtBpaDegeneracy:
         points = reconstruct_at_points(grid.centers_block(0, grid.n_voxels),
                                        ms, sc, cfg)
         assert np.array_equal(points, image.values.ravel())
+
+    def test_points_match_grid_within_layout_bound(self):
+        # Behind the hidden-dipole plate a chunk's live antenna columns
+        # depend on which voxels share it, and a BLAS dot's rounding on
+        # where each term sits, so a point list and a grid agree within a
+        # bound only: on this crop, with the source inside it, 256 of 1536
+        # voxels differ, by at most 1e-17 of the peak.
+        from rtbpa.scenes import scenario_hidden_dipole
+        sc = scenario_hidden_dipole(n_rx_x=10, n_rx_y=10)
+        ms = synthesize_radiation_data(sc.sources, sc.arrays, sc.scene,
+                                       sc.sweep, max_order=1)
+        grid = ImageGrid.planar(center=(0.1, 0.0, 0.7), axis_i=(1, 0, 0),
+                                axis_j=(0, 1, 0), spacing_ij=(0.01, 0.01),
+                                dims_ij=(32, 48))
+        cfg = ReconstructionConfig(max_order=1)
+        image = rt_bpa(ms, grid, sc.scene, cfg).values.ravel()
+        points = reconstruct_at_points(grid.centers_block(0, grid.n_voxels),
+                                       ms, sc.scene, cfg)
+        assert relative_error(points, image) <= 1e-15
 
     def test_linearity(self):
         ms = radiation_data(Scene([GROUND]))
@@ -176,13 +196,26 @@ class TestRtBpaDegeneracy:
         cfg = ReconstructionConfig(max_order=1)
         ref = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=1)
         for cpus, want in ((2, 2), (64, 6)):
-            monkeypatch.setattr(imaging.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(imaging, "_usable_cpus", lambda: cpus)
             out = rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=10_000)
             assert sizes[-1] == want
             assert np.array_equal(out.values, ref.values)
-        monkeypatch.setattr(imaging.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 1)
         rt_bpa(ms, grid, Scene([GROUND]), cfg, workers=8)
         assert len(sizes) == 2  # one CPU: serial, no pool
+
+    def test_usable_cpus_is_the_affinity_set(self, monkeypatch):
+        # A process pinned to 2 of 64 CPUs gets at most 2 workers; without
+        # an affinity call every CPU of the machine counts.
+        import rtbpa.imaging as imaging
+        monkeypatch.setattr(imaging.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(imaging.os, "sched_getaffinity",
+                            lambda pid: {3, 9}, raising=False)
+        assert imaging._usable_cpus() == 2
+        monkeypatch.delattr(imaging.os, "sched_getaffinity")
+        assert imaging._usable_cpus() == 64
+        monkeypatch.setattr(imaging.os, "cpu_count", lambda: None)
+        assert imaging._usable_cpus() == 1
 
     def test_prebuilt_path_table_bit_identical(self):
         ms = radiation_data(Scene([GROUND]))
@@ -709,6 +742,68 @@ class TestCoherentSum:
         assert np.any(got[0])
         for g in got[1:]:
             assert np.array_equal(g, got[0])
+
+    @pytest.mark.parametrize("mode", ["radiation", "scattering"])
+    def test_column_pieces_match_direct_sum(self, mode, monkeypatch):
+        # A class runs in pieces of at most imaging._DOT_COLS live columns.
+        # At 7, rx class 0 (40 live of 44) runs as five full pieces and a
+        # partial one, the tx classes (9 live of 10) as 7 + 2.
+        from rtbpa import imaging
+        monkeypatch.setattr(imaging, "_DOT_COLS", 7)
+        rng = np.random.default_rng(52)
+        kvals = EXACT_K[:21]
+        n_v, n_tx, n_rx = 9, 10, 44
+        rx_legs = random_legs(rng, n_v, n_rx, 3, zero_cols=[0, 5, 17, 43],
+                              zero_class=1)
+        assert np.count_nonzero(np.any(rx_legs[0][1], axis=0)) == 40
+        t = (rng.normal(size=(n_tx, n_rx, kvals.size))
+             + 1j * rng.normal(size=(n_tx, n_rx, kvals.size)))
+        if mode == "radiation":
+            got = _sum_radiation(t[0], kvals, rx_legs)
+            want = direct_sum(t[:1], kvals, None, rx_legs)
+        else:
+            tx_legs = random_legs(rng, n_v, n_tx, 2, zero_cols=[4])
+            got = _sum_scattering(t, kvals, tx_legs, rx_legs, n_v)
+            want = direct_sum(t, kvals, tx_legs, rx_legs)
+        assert relative_error(got, want) <= 1e-12
+
+    def test_blas_threads_change_no_bit(self):
+        # OpenBLAS splits a dot of over 10,000 elements between its threads,
+        # which changes its rounding; pieces of at most imaging._DOT_COLS
+        # columns keep every dot on one thread. The thread count is read
+        # when numpy loads, so each count runs in its own interpreter.
+        import os
+        import subprocess
+        import sys
+
+        import rtbpa
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from rtbpa.fields import FrequencySweep\n"
+            "from rtbpa.imaging import _sum_radiation\n"
+            "rng = np.random.default_rng(53)\n"
+            "n_v, n_rx = 4, 20_000\n"
+            "kvals = FrequencySweep(18e9, 20e9, 100e6).k_values\n"
+            "lengths = rng.uniform(0.2, 1.5, size=(2, n_v, n_rx))\n"
+            "w = rng.choice([-1.0, 1.0], size=(2, n_v, n_rx))\n"
+            "w[1, :, 1360:] = 0.0\n"
+            "t0 = (rng.normal(size=(n_rx, kvals.size))\n"
+            "      + 1j * rng.normal(size=(n_rx, kvals.size)))\n"
+            "out = _sum_radiation(t0, kvals, list(zip(lengths, w)))\n"
+            "sys.stdout.write(out.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            rtbpa.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            outs.append(run.stdout)
+        assert len(outs[0]) == 2 * 4 * 16
+        assert outs[0] == outs[1]
 
     def test_dense_class_stays_below_one_class_array(self):
         # A whole dense class's phasor and step, (V, A) complex each, would
