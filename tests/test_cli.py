@@ -364,7 +364,8 @@ def test_flag_out_of_range_exits_2(free_space_file, tmp_path, capsys, flags):
                                   "fractional_occluder_id",
                                   "bool_facet_id", "bool_schema_version",
                                   "bool_step_hz", "empty_rx",
-                                  "scattering_without_tx"])
+                                  "scattering_without_tx",
+                                  "antenna_on_facet"])
 def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
     doc = json.loads(free_space_file.read_text())
     if edit == "reversed_sweep":
@@ -411,6 +412,13 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
         doc["mode"] = "scattering"
         doc["targets"] = [{"position": [0, 0, 0.7], "reflectivity": [1, 0]}]
         del doc["sources"]
+    elif edit == "antenna_on_facet":
+        # parallel_plates' left plate, with rx 0 moved onto it.
+        doc["scene"]["facets"] = [{"id": 1, "kind": "rectangle",
+                                   "origin": [-0.3, -0.6, 0.2],
+                                   "edge_u": [0, 1, 0], "edge_v": [0, 0, 1]}]
+        doc["scene"]["occluder_ids"] = [1]
+        doc["arrays"]["rx_positions"][0] = [-0.3, 0.0, 0.7]
     else:
         doc["arrays"]["rx_positions"][0][1] = "one"
     bad = tmp_path / "bad.json"
@@ -424,7 +432,9 @@ def test_bad_scenario_value_exits_2(free_space_file, tmp_path, capsys, edit):
              "bool_schema_version": "scenario.schema_version'",
              "bool_step_hz": "sweep.step_hz'",
              "empty_rx": "arrays.rx_positions'",
-             "scattering_without_tx": "arrays.tx_positions'"}.get(edit, "")
+             "scattering_without_tx": "arrays.tx_positions'",
+             "antenna_on_facet": "antenna at [-0.3  0.   0.7] lies on facet 1",
+             }.get(edit, "")
     assert field in err
 
 
