@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -184,11 +183,7 @@ def magnitude_db(grid: ImageGrid) -> np.ndarray:
 
 def write_csv_db(path, grid: ImageGrid) -> None:
     """CSV of the planar dB cut: one row per j index, one column per i index."""
-    db = magnitude_db(grid)
-    lines = []
-    for j in range(db.shape[1]):
-        lines.append(",".join(f"{db[i, j]:.6f}" for i in range(db.shape[0])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, magnitude_db(grid).T, fmt="%.6f", delimiter=",")
 
 
 def write_pgm(path, grid: ImageGrid) -> None:

@@ -193,8 +193,8 @@ def sbr_trace(points, antennas, scene: Scene,
                                       antennas[ant]) <= r2
                 if not hits.any():
                     continue
-                rows = np.unique(np.column_stack(
-                    [ant[hits], seqs[idx[ray[hits]], :bounce]]), axis=0)
+                rows = np.column_stack(
+                    [ant[hits], seqs[idx[ray[hits]], :bounce]])
                 for ai, *seq in rows.tolist():
                     captured[ai].add(tuple(seq))
         if bounce == cfg.max_bounces:

@@ -5,7 +5,8 @@ scenes is not hard-coded: its position along the standoff axis is chosen to
 maximize the clearance between the band of direct-segment crossings (which the
 plate must cover) and the band of ground-bounce crossings (which must pass
 under it), and its extent is then sized to the direct band plus a margin.
-Each builder asserts its own occlusion claims after construction.
+Each hidden scene's claims are checked through the order-1 `ImagePathTable`
+that images it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ PLATE_ID = 2
 WALL_ID = 3
 LEFT_PLATE_ID = 1
 RIGHT_PLATE_ID = 2
+# The co-pol axis of the hidden scenes: their dipoles point along x.
+HIDDEN_COPOL = (1.0, 0.0, 0.0)
 
 
 @dataclass
@@ -144,17 +147,26 @@ def _solve_occluder(emitters: np.ndarray, rx: np.ndarray, y_front: float,
 
 def _assert_hidden(scene: Scene, emitters: np.ndarray, rx: np.ndarray,
                    copol) -> None:
-    """Check the construction claims: no LOS, one ground bounce per pair."""
-    emitters = np.asarray(emitters, float).reshape(-1, 3)
-    blocked = segments_blocked(emitters[:, None, :], rx[None, :, :], scene)
-    if not blocked.all():
-        raise ScenarioError("occluder does not block every direct segment")
+    """Check the construction claims: no LOS, one ground bounce per pair.
+    Both come from one eval; it yields only sequences with a valid leg."""
     table = ImagePathTable(scene, rx, 1, copol)
-    ground = [valid for seq, _, _, _, valid in table.eval(emitters)
-              if seq == (GROUND_ID,)]
-    # eval yields no sequence that has no valid leg.
-    if not (ground and ground[0].all()):
+    valid = {seq: ok for seq, _, _, _, ok in table.eval(emitters)}
+    if () in valid:
+        raise ScenarioError("occluder does not block every direct segment")
+    ground = valid.get((GROUND_ID,))
+    if ground is None or not ground.all():
         raise ScenarioError("a ground-bounce path is blocked or invalid")
+
+
+def _behind_plate(emitters: np.ndarray, rx: np.ndarray, y_front: float,
+                  y_rx: float, min_width: float = 1.4, extra=()) -> Scene:
+    """The PEC ground, the plate that hides `emitters` from `rx` and the
+    `extra` facets, checked by `_assert_hidden`."""
+    ground = Facet.plane(GROUND_ID, point=(0, 0, 0), normal=(0, 0, 1))
+    plate = _solve_occluder(emitters, rx, y_front, y_rx, min_width=min_width)
+    scene = Scene([ground, plate, *extra])
+    _assert_hidden(scene, emitters, rx, HIDDEN_COPOL)
+    return scene
 
 
 _LOGO_COLUMNS = {
@@ -196,14 +208,10 @@ def scenario_tum_logo(n_rx_x: int = 40, n_rx_y: int = 34) -> Scenario:
                for p in logo_points()]
     rx = _rx_plane(y=1.0, x_lo=-0.6, x_hi=0.6, z_lo=0.2, z_hi=1.2,
                    nx=n_rx_x, nz=n_rx_y)
-    ground = Facet.plane(GROUND_ID, point=(0, 0, 0), normal=(0, 0, 1))
-    emitters = np.array([s.position for s in sources])
-    plate = _solve_occluder(emitters, rx, y_front=0.0, y_rx=1.0)
-    scene = Scene([ground, plate])
-    copol = np.array([1.0, 0.0, 0.0])
-    _assert_hidden(scene, emitters, rx, copol)
+    scene = _behind_plate([s.position for s in sources], rx, y_front=0.0,
+                          y_rx=1.0)
     arrays = AntennaArray(tx_positions=np.zeros((0, 3)), rx_positions=rx,
-                          copol=copol)
+                          copol=HIDDEN_COPOL)
     return Scenario(name="tum_logo", scene=scene, sources=sources, targets=[],
                     arrays=arrays, sweep=_default_sweep(),
                     grid=_letters_grid())
@@ -225,20 +233,13 @@ def scenario_hidden_dipole(n_rx_x: int = 40, n_rx_y: int = 34,
     sources = [DipoleSource(position=position, orientation=(1, 0, 0))]
     rx = _rx_plane(y=1.0, x_lo=-0.6, x_hi=0.6, z_lo=0.2, z_hi=1.2,
                    nx=n_rx_x, nz=n_rx_y)
-    ground = Facet.plane(GROUND_ID, point=(0, 0, 0), normal=(0, 0, 1))
-    emitters = position[None, :]
-    plate = _solve_occluder(emitters, rx, y_front=float(position[1]),
-                            y_rx=1.0, min_width=0.0 if side_wall else 1.4)
-    facets = [ground, plate]
-    if side_wall:
-        facets.append(Facet.rectangle(WALL_ID, origin=(0.8, -0.5, 0.2),
-                                      edge_u=(0.0, 1.45, 0.0),
-                                      edge_v=(0.0, 0.0, 1.0)))
-    scene = Scene(facets)
-    copol = np.array([1.0, 0.0, 0.0])
-    _assert_hidden(scene, emitters, rx, copol)
+    wall = Facet.rectangle(WALL_ID, origin=(0.8, -0.5, 0.2),
+                           edge_u=(0.0, 1.45, 0.0), edge_v=(0.0, 0.0, 1.0))
+    scene = _behind_plate(position, rx, y_front=float(position[1]), y_rx=1.0,
+                          min_width=0.0 if side_wall else 1.4,
+                          extra=[wall] if side_wall else ())
     arrays = AntennaArray(tx_positions=np.zeros((0, 3)), rx_positions=rx,
-                          copol=copol)
+                          copol=HIDDEN_COPOL)
     name = "hidden_dipole_wall" if side_wall else "hidden_dipole"
     return Scenario(name=name, scene=scene, sources=sources, targets=[],
                     arrays=arrays, sweep=_default_sweep(), grid=grid)
@@ -258,15 +259,11 @@ def scenario_three_spheres(n_rx_x: int = 40, n_rx_y: int = 34) -> Scenario:
     tx = np.array([[0.2, 0.4, 0.7]])
     rx = _rx_plane(y=1.4, x_lo=-0.4, x_hi=0.8, z_lo=0.2, z_hi=1.2,
                    nx=n_rx_x, nz=n_rx_y)
-    ground = Facet.plane(GROUND_ID, point=(0, 0, 0), normal=(0, 0, 1))
-    plate = _solve_occluder(centers, rx, y_front=float(tx[0, 1]), y_rx=1.4)
-    scene = Scene([ground, plate])
-    copol = np.array([1.0, 0.0, 0.0])
-    _assert_hidden(scene, centers, rx, copol)
+    scene = _behind_plate(centers, rx, y_front=float(tx[0, 1]), y_rx=1.4)
     grid = ImageGrid.planar(center=(0.2, -0.25, 0.7), axis_i=(1, 0, 0),
                             axis_j=(0, 1, 0), spacing_ij=(0.01, 0.01),
                             dims_ij=(129, 129))
-    arrays = AntennaArray(tx_positions=tx, rx_positions=rx, copol=copol)
+    arrays = AntennaArray(tx_positions=tx, rx_positions=rx, copol=HIDDEN_COPOL)
     return Scenario(name="three_spheres", scene=scene, sources=[],
                     targets=targets, arrays=arrays, sweep=_default_sweep(),
                     grid=grid)

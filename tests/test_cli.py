@@ -182,6 +182,23 @@ def test_measurement_container_round_trip(free_space_file, tmp_path):
     assert again.read_bytes() == (out / "measurements.rtbpa").read_bytes()
 
 
+@pytest.mark.parametrize("dims", [(5, 3), (3, 1), (1, 3)])
+def test_csv_db_bytes(tmp_path, dims):
+    # The bytes of a per-element f"{db:.6f}" join, one line per j index.
+    # One voxel is zero, so its line carries the -40 dB floor.
+    rng = np.random.default_rng(8)
+    values = (rng.normal(size=dims) + 1j * rng.normal(size=dims))[..., None]
+    values[0, -1, 0] = 0.0
+    grid = ImageGrid(origin=(0, 0, 0), axes=np.eye(3), spacing=(1, 1, 1),
+                     dims=(*dims, 1), values=values)
+    rio.write_csv_db(tmp_path / "db.csv", grid)
+    db = rio.magnitude_db(grid)
+    lines = [",".join(f"{db[i, j]:.6f}" for i in range(db.shape[0]))
+             for j in range(db.shape[1])]
+    assert (tmp_path / "db.csv").read_text() == "\n".join(lines) + "\n"
+    assert "-40.000000" in lines[-1]
+
+
 def test_truncated_container_rejected(free_space_file, tmp_path):
     out = tmp_path / "fwd"
     main(["forward", "--scenario", str(free_space_file), "--out", str(out)])

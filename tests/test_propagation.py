@@ -355,6 +355,42 @@ class TestFindPathsSbr:
         captured = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)[0]
         assert captured and () not in captured
 
+    def test_sbr_run_does_not_load_numpy_ma(self):
+        # np.unique(..., axis=0) imports numpy.ma on its first call, in the
+        # middle of a run, and the per-antenna capture sets need no dedupe.
+        # A fresh interpreter shows what an SBR forward and reconstruction
+        # load.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import rtbpa
+        code = textwrap.dedent("""
+            import sys
+            from rtbpa.fields import synthesize_radiation_data
+            from rtbpa.imaging import ImageGrid, ReconstructionConfig, rt_bpa
+            from rtbpa.propagation import SbrConfig
+            from rtbpa.scenes import scenario_parallel_plates
+            s = scenario_parallel_plates(n_rx_x=6, n_rx_y=5)
+            sbr = SbrConfig(ray_count=2_000, max_bounces=1, rng_seed=4)
+            ms = synthesize_radiation_data(s.sources, s.arrays, s.scene,
+                                           s.sweep, path_engine="sbr", sbr=sbr)
+            grid = ImageGrid.planar(center=(0.0, -0.3, 0.7), axis_i=(1, 0, 0),
+                                    axis_j=(0, 1, 0), spacing_ij=(0.01, 0.01),
+                                    dims_ij=(4, 4))
+            rt_bpa(ms, grid, s.scene,
+                   ReconstructionConfig(path_engine="sbr", sbr=sbr), workers=1)
+            sys.stdout.write(str("numpy.ma" in sys.modules))
+            """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            rtbpa.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "False"
+
     def test_ray_count_above_cap_rejected(self):
         # Refused before any ray array is built.
         with pytest.raises(ValueError, match="ray_count"):

@@ -68,6 +68,13 @@ class TestTumLogo:
             _assert_hidden(Scene([ground, plate, mat]), emitters, rx,
                            (1, 0, 0))
 
+    def test_visible_emitter_refused(self):
+        # Without the plate every direct segment is open.
+        ground = Facet.plane(GROUND_ID, (0, 0, 0), (0, 0, 1))
+        with pytest.raises(ScenarioError, match="does not block every direct"):
+            _assert_hidden(Scene([ground]), np.array([[0.0, 0.0, 0.7]]),
+                           np.array([[0.0, 1.0, 0.7]]), (1, 0, 0))
+
     def test_sources_above_ground(self):
         s = scenario_tum_logo()
         for src in s.sources:
@@ -119,6 +126,11 @@ class TestParallelPlates:
         blocked = segments_blocked(src[None, None, :],
                                    s.arrays.rx_positions[None, :, :], s.scene)
         assert not blocked.any()
+
+    def test_blocked_los_refused(self):
+        # At a 0.1 m gap the plates stand across most direct segments.
+        with pytest.raises(ScenarioError, match="LOS must be unobstructed"):
+            scenario_parallel_plates(plate_gap=0.1)
 
     def test_central_voxel_three_legs(self):
         s = scenario_parallel_plates()
