@@ -291,20 +291,22 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
                       amplitude: AmplitudeMode) -> np.ndarray:
     """Per-(point, antenna) leg weights under the selected amplitude convention.
 
-    Zero-bounce legs are always kept; bounced legs whose normalized co-pol
-    projection falls below the cross-pol threshold are dropped.
+    `far_field` keeps every valid leg: its weight amp / L is continuous in
+    the co-pol projection. `phase_only` keeps every zero-bounce leg, but
+    drops a bounced leg whose normalized co-pol projection falls below the
+    cross-pol threshold, where the sign of its +-1 weight is not reliable.
     """
-    if order > 0:
-        keep = valid & (tnorm > 1e-12) & (np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
-    else:
-        keep = valid
     if amplitude == "phase_only":
+        keep = valid
+        if order > 0:
+            keep = valid & (tnorm > 1e-12) & (
+                np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
         sign = np.where(amp >= 0.0, 1.0, -1.0)
         return np.where(keep, sign, 0.0)
     if amplitude == "far_field":
         with np.errstate(divide="ignore", invalid="ignore"):
             w = amp / np.where(lengths == 0.0, 1.0, lengths)
-        return np.where(keep, w, 0.0)
+        return np.where(valid, w, 0.0)
     raise ValueError(f"unknown amplitude mode {amplitude!r}")
 
 
@@ -348,11 +350,19 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
 def _weighted_legs(table: ImagePathTable, points: np.ndarray,
                    amplitude: AmplitudeMode, orientation=None) -> list:
     """(lengths, coeff) per sequence of `table` with a valid leg in a point
-    block, each (V, A)."""
-    return [(lengths, _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
-                                        amplitude))
-            for seq, lengths, amp, tnorm, valid
-            in table.eval(points, orientation=orientation)]
+    block, each (V, A): zero on the antenna columns eval dropped, which
+    hold no valid leg."""
+    out = []
+    for seq, lengths, amp, tnorm, valid, cols in table.eval(
+            points, orientation=orientation):
+        coeff = _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
+                                  amplitude)
+        if cols.size < table.antennas.shape[0]:
+            full = np.zeros((2, lengths.shape[0], table.antennas.shape[0]))
+            full[0][:, cols], full[1][:, cols] = lengths, coeff
+            lengths, coeff = full
+        out.append((lengths, coeff))
+    return out
 
 
 def _leg_spectrum(table: ImagePathTable, point: np.ndarray,

@@ -21,7 +21,8 @@ from .errors import ScenarioError
 from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
                        mirror_points, rays_nearest_hit, segments_blocked, unit)
 
-# Paths whose normalized co-pol projection falls below this are discarded.
+# phase_only weights drop bounced legs whose normalized co-pol projection
+# falls below this; far_field weights keep every valid leg.
 CROSS_POL_THRESHOLD = 1e-3
 # Sequence count grows as ~facets**order; deeper orders are refused.
 MAX_ORDER = 5
@@ -218,56 +219,69 @@ def sbr_trace(points, antennas, scene: Scene,
     return captured
 
 
-def _crossing_box(p_box, i_box, f, margin: float, t_lo: float, t_hi: float,
-                  l_min: float):
-    """Decide one facet test of `ImagePathTable.eval` for a whole block from
-    per-side bounds, before any (V, A) array of the sequence exists.
+def _crossing_box(p_box, i_box, f, margin: float, t_lo, t_hi, l_min: float):
+    """Decide one facet test of `ImagePathTable.eval` from per-side bounds,
+    before any (V, A) array of the sequence exists.
 
-    p_box and i_box are (minima, maxima) of the facet's s and in-plane
-    coordinates over the points and over the deepest images. t_lo is an upper
-    bound on the leg's start t, t_hi a lower bound on its end t and l_min a
-    lower bound on L, each over the legs that can still be valid.
+    p_box is (minima, maxima) of the facet's s and in-plane coordinates over
+    the points. i_box is the same over the deepest images: floats, for the
+    whole block, or arrays of the exact values at each image (minima and
+    maxima both), for which every bound below holds per antenna column by
+    broadcasting. t_lo is an upper bound on the leg's start t, t_hi a lower
+    bound on its end t (floats, or per column) and l_min a lower bound on L,
+    each over the legs that can still be valid.
 
-    Returns (decision, t_box). decision is False when no leg crosses the
-    facet inside its extent less `margin`, True when every valid leg does
-    with t - t_lo and t_hi - t above EPS_SELF / L, and None when the bounds
-    cannot tell; the dense test then decides. t_box bounds the crossing t
-    of every valid leg. Only when every s_p has one strict sign and every s_I
-    the other is t = |s_p| / (|s_p| + |s_I|) bounded by the block, and then
-    so is each coordinate a = (1 - t) a_p + t a_I; otherwise t_box is
-    (0, 1), which holds on a valid leg. Each decision keeps a slack far above
-    the rounding of the dense test, so that test would return the same mask.
+    Returns (miss, sure, t_box). miss holds where no leg crosses the facet
+    inside its extent less `margin`, sure where every valid leg does with
+    t - t_lo and t_hi - t above EPS_SELF / L; where neither holds the dense
+    test decides. t_box bounds the crossing t of every valid leg. Only where
+    every s_p has one strict sign and every s_I the other is
+    t = |s_p| / (|s_p| + |s_I|) bounded by the box; elsewhere t_box is
+    (0, 1), which holds on a valid leg. Either way each coordinate
+    a = (1 - t) a_p + t a_I is bounded by its values at the ends of t_box;
+    a whole block that does not cross strictly skips that extent check and
+    is decided by sign alone. Each decision keeps a slack far above the
+    rounding of the dense test, so that test would return the same mask.
     """
     p_lo, p_hi, i_lo, i_hi = p_box[0][0], p_box[1][0], i_box[0][0], i_box[1][0]
-    if min(p_lo, i_lo) > 0.0 or max(p_hi, i_hi) < 0.0:
-        return False, (0.0, 1.0)  # one side everywhere: t lies outside [0, 1]
-    if p_lo > 0.0 and i_hi < 0.0:
+    if p_lo > 0.0:
         near, far = (p_lo, p_hi), (-i_hi, -i_lo)
-    elif p_hi < 0.0 and i_lo > 0.0:
+    elif p_hi < 0.0:
         near, far = (-p_hi, -p_lo), (i_lo, i_hi)
     else:
-        return None, (0.0, 1.0)  # the signs straddle: t is unbounded
-    # t rises with |s_p| and falls with |s_I|.
-    t_box = (near[0] / (near[0] + far[1]), near[1] / (near[1] + far[0]))
+        return False, False, (0.0, 1.0)  # the points straddle: t is unbounded
+    per_column = isinstance(i_lo, np.ndarray)
+    lesser, greater = (np.minimum, np.maximum) if per_column else (min, max)
+    # |s_I| lies in far where far[0] > 0. Where far[1] < 0 the images sit on
+    # the points' side, so t lies outside [0, 1].
+    miss = far[1] < 0.0
+    cross = far[0] > 0.0
+    if not (per_column or cross):
+        return miss, False, (0.0, 1.0)  # a block decided by sign alone
+    # t rises with |s_p| and falls with |s_I|; (0, 1) where not `cross`.
+    t_box = (cross * (near[0] / (near[0] + greater(far[1], 0.0))),
+             near[1] / (near[1] + greater(far[0], 0.0)))
     if f.kind == "triangle":
-        return None, t_box
-    inside = True
+        return miss, False, t_box
+    sure = True
     if f.kind == "rectangle":
         for k, extent in ((1, f.frame[2]), (2, f.frame[3])):
             a_p = (p_box[0][k], p_box[1][k])
             a_i = (i_box[0][k], i_box[1][k])
-            # a is linear in t with weights 1 - t, t >= 0: its extremes sit
-            # at the extremes of t, a_p and a_I.
-            a_lo = min((1.0 - t) * a_p[0] + t * a_i[0] for t in t_box)
-            a_hi = max((1.0 - t) * a_p[1] + t * a_i[1] for t in t_box)
-            tol = 1e-9 * (1.0 + extent + max(map(abs, a_p + a_i)))
-            if a_hi < margin - tol or a_lo > extent - margin + tol:
-                return False, t_box
-            inside &= a_lo > margin + tol and a_hi < extent - margin - tol
-    clear = min(t_box[0] - t_lo, t_hi - t_box[1]) - 1e-9
-    if inside and clear * l_min > EPS_SELF * (1.0 + 1e-9):
-        return True, t_box
-    return None, t_box
+            # a = a_p + t (a_I - a_p) with weights 1 - t, t >= 0: its
+            # extremes sit at the extremes of a_p and a_I, and of t.
+            slope = (a_i[0] - a_p[0], a_i[1] - a_p[1])
+            a_lo = a_p[0] + lesser(t_box[0] * slope[0], t_box[1] * slope[0])
+            a_hi = a_p[1] + greater(t_box[0] * slope[1], t_box[1] * slope[1])
+            # The largest |a| over a range [lo, hi] is max(hi, -lo).
+            tol = 1e-9 * (1.0 + extent + greater(max(a_p[1], -a_p[0]),
+                                                 greater(a_i[1], -a_i[0])))
+            miss = miss | (a_hi < margin - tol) | (
+                a_lo > extent - margin + tol)
+            sure = sure & (a_lo > margin + tol) & (
+                a_hi < extent - margin - tol)
+    clear = lesser(t_box[0] - t_lo, t_hi - t_box[1]) - 1e-9
+    return miss, sure & (clear * l_min > EPS_SELF * (1.0 + 1e-9)), t_box
 
 
 def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
@@ -297,30 +311,72 @@ def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
     return hit
 
 
-def _box_decisions(legs, p_box, i_box, l_min: float) -> Optional[list]:
-    """`_crossing_box`'s decision on every facet test of one sequence, in
-    `ImagePathTable.eval`'s order, or None when one of them proves the
-    sequence dead: a bounce missed or an occluder hit everywhere. p_box and
-    i_box are (per-row minima, per-row maxima) of the test rows at the
-    points and at the deepest images. A bounce's t bounds end the leg it
-    closes and start the next one."""
-    boxes, t_lo, r = [], 0.0, -3
+def _walk_tests(legs, p_box, i_side, l_min: float, block=None):
+    """Yield (dead, decided, t_box) per facet test of one sequence, in
+    `ImagePathTable.eval`'s order, from `_crossing_box` on the images' side
+    i_side: (per-row minima, per-row maxima) of the test rows over the
+    deepest images, or the rows' values at each image twice. dead is a
+    bounce missed or an occluder hit everywhere, decided a bounce hit or an
+    occluder missed by every valid leg. A bounce's t bounds end the leg it
+    closes and start the next one. Tests that `block`, the block pass's
+    outcomes, decided keep them."""
+    k, t_lo, r = 0, 0.0, -3
     for bounce, occluders in legs:
         t_hi = t_next = 1.0
         for i, f in enumerate(bounce + occluders):
             r += 3
             is_bounce = i < len(bounce)
-            box, t_box = _crossing_box(
-                (p_box[0][r:r + 3], p_box[1][r:r + 3]),
-                (i_box[0][r:r + 3], i_box[1][r:r + 3]), f,
-                0.0 if is_bounce else EDGE_MARGIN, t_lo, t_hi, l_min)
-            if box is (not is_bounce):  # missed bounce, blocking occluder
-                return None
-            boxes.append(box)
+            if block is not None and block[k][1]:
+                out = block[k]
+            else:
+                miss, sure, t_box = _crossing_box(
+                    (p_box[0][r:r + 3], p_box[1][r:r + 3]),
+                    (i_side[0][r:r + 3], i_side[1][r:r + 3]), f,
+                    0.0 if is_bounce else EDGE_MARGIN, t_lo, t_hi, l_min)
+                out = (miss, sure, t_box) if is_bounce else (sure, miss, t_box)
+            yield out
             if is_bounce:
-                t_hi, t_next = t_box
+                t_hi, t_next = out[2]
+            k += 1
         t_lo = t_next
-    return boxes
+
+
+def _box_decisions(legs, p_box, i_box, l_min: float, iv: np.ndarray):
+    """Decide the facet tests of one sequence before any (V, A) array of it
+    exists: (kept, dense), or None when no antenna column can hold a valid
+    leg.
+
+    The block pass decides each test for the whole block from p_box and
+    i_box, the (per-row minima, per-row maxima) of the test rows at the
+    points and at the deepest images. Each test it leaves undecided is then
+    decided per antenna column from iv, the rows' values at each image. A
+    column is dead where one of its bounces is missed at every point or an
+    occluder blocks every valid leg; `kept` indexes the others (None: every
+    column). dense[i] selects, among the kept columns, those on which test
+    i must still run: None for none, slice(None) for all, else their
+    positions."""
+    block = []
+    for out in _walk_tests(legs, p_box, i_box, l_min):
+        if out[0]:
+            return None
+        block.append(out)
+    if all(decided for _, decided, _ in block):
+        return None, [None] * len(block)
+    alive = np.ones(iv.shape[1], dtype=bool)
+    undecided = []
+    for (_, done, _), (dead, decided, _) in zip(
+            block, _walk_tests(legs, p_box, (iv, iv), l_min, block)):
+        if not done:  # decided per column
+            alive &= np.logical_not(dead)
+            if not alive.any():
+                return None
+        undecided.append(np.logical_not(decided))
+    n_kept, dense = np.count_nonzero(alive), []
+    for todo in undecided:
+        todo = np.flatnonzero(np.broadcast_to(todo, alive.shape)[alive])
+        dense.append(None if todo.size == 0 else
+                     slice(None) if todo.size == n_kept else todo)
+    return (None if n_kept == alive.size else np.flatnonzero(alive)), dense
 
 
 class ImagePathTable:
@@ -435,13 +491,15 @@ class ImagePathTable:
         return side
 
     def eval(self, points: np.ndarray, orientation=None):
-        """Yield (seq, lengths, amp, tnorm, valid) for each sequence with a
-        valid leg in a point block, in table order.
+        """Yield (seq, lengths, amp, tnorm, valid, cols) for each sequence
+        with a valid leg in a point block, in table order.
 
-        lengths/amp/tnorm/valid have shape (V, A). `amp` is the signed,
-        unnormalized co-pol amplitude after PEC transport of the transverse
-        part of `orientation` (default: the co-pol vector); `tnorm` is the
-        launch transverse magnitude used by the cross-pol test.
+        `cols` indexes the antenna columns kept for the sequence, and
+        lengths/amp/tnorm/valid have shape (V, len(cols)); every dropped
+        column holds no valid leg. `amp` is the signed, unnormalized co-pol
+        amplitude after PEC transport of the transverse part of
+        `orientation` (default: the co-pol vector); `tnorm` is the launch
+        transverse magnitude used by the cross-pol test.
 
         Every leg is tested on the unfolded line p + t (I0 - p), of length
         L, from the point to the deepest antenna image: leg j is the interval
@@ -453,12 +511,14 @@ class ImagePathTable:
 
         `_box_decisions` first decides each test over the whole block from
         the per-side values alone, with L bounded below by the gap between
-        the bounding boxes of the points and of the deepest images; the
-        images' side is computed once per table (`_image_side`). A
-        sequence it proves dead costs O(V) after the first eval: no (V, A)
-        array of it is built. Only the undecided tests run on (V, A) arrays,
-        and they alone decide the mask, so it is the one the dense test
-        gives. A sequence whose mask ends empty is not yielded either.
+        the bounding boxes of the points and of the deepest images, and then
+        per antenna column each test the block leaves undecided; the images'
+        side is computed once per table (`_image_side`). A sequence with no
+        column left costs O(V + A) after the first eval: no (V, A) array of
+        it is built. Only the kept columns are evaluated, and only the tests
+        some kept column leaves undecided run on their arrays; those alone
+        decide the mask, so it is the one the dense test gives. A sequence
+        whose mask ends empty is not yielded either.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not (points.size and self.antennas.size):
@@ -468,6 +528,7 @@ class ImagePathTable:
         p_ori = points @ ori
         p_lo, p_hi = points.min(axis=0), points.max(axis=0)
         p_far = float(np.sqrt(pp.max()))
+        every = np.arange(self.antennas.shape[0])
         for entry in self._entries:
             target0 = entry["images"][0]
             vecs, offs, tt, iv, i_box, t_box, t_far = self._image_side(entry)
@@ -480,50 +541,72 @@ class ImagePathTable:
                 p_far + t_far) ** 2, 0.0))
             boxes = _box_decisions(
                 entry["legs"], (pv.min(axis=1).tolist(),
-                                pv.max(axis=1).tolist()), i_box, l_min)
+                                pv.max(axis=1).tolist()), i_box, l_min, iv)
             if boxes is None:
                 continue
+            kept, dense = boxes
+
+            def cut(a):  # the kept columns of a per-antenna array
+                return a if kept is None else a[..., kept]
+
             # |target - point| via the expanded square, no (V, A, 3) tensor.
-            lengths = pp[:, None] - 2.0 * (points @ target0.T) + tt[None, :]
+            # Products are cut only after BLAS ran at full width: it may
+            # round a column of a narrower product differently (gemm's edge
+            # kernels, gemv for one row or column).
+            tt, iv = cut(tt), cut(iv)
+            lengths = pp[:, None] - 2.0 * cut(points @ target0.T) + tt[None, :]
             np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
             valid = lengths > 1e-9
-            t_lo, r = 0.0, -3
+            crossings = {}  # test row -> t on every kept leg
+
+            def crossing(r, on):  # t where test row r crosses, on `on`
+                if r in crossings:
+                    return crossings[r][:, on]
+                s_p = pv[r][:, None]
+                t = s_p / (s_p - iv[r][on][None, :])
+                if isinstance(on, slice):
+                    crossings[r] = t
+                return t
+
+            test, r = -1, -3
+            start = None  # row of the bounce the leg starts at; None: t = 0
             # t is inf or NaN where s_p = s_I; every test is False there.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for bounce, occluders in entry["legs"]:
-                    t_hi = 1.0
+                    end = None  # row of the bounce it ends at; None: t = 1
                     for i, f in enumerate(bounce + occluders):
-                        r += 3
-                        if boxes[r // 3] is False:  # an occluder missed
-                            continue
-                        if not valid.any():
-                            break
+                        test, r = test + 1, r + 3
                         is_bounce = i < len(bounce)
-                        s_p = pv[r][:, None]
-                        t = s_p / (s_p - iv[r][None, :])
-                        if boxes[r // 3] is None:  # the dense test
+                        on = dense[test]  # the kept columns it runs on
+                        if on is not None and valid.any():
                             hit = _facet_hit(
-                                f, 0.0 if is_bounce else EDGE_MARGIN, t,
-                                t_lo, t_hi, lengths, pv[r + 1:r + 3],
-                                iv[r + 1:r + 3])
-                            valid &= hit if is_bounce else ~hit
+                                f, 0.0 if is_bounce else EDGE_MARGIN,
+                                crossing(r, on),
+                                0.0 if start is None else crossing(start, on),
+                                1.0 if end is None else crossing(end, on),
+                                lengths[:, on], pv[r + 1:r + 3],
+                                iv[r + 1:r + 3, on])
+                            valid[:, on] &= hit if is_bounce else ~hit
                         if is_bounce:
                             # The bounce point: where the line crosses the
                             # next bounce facet, beyond the current one.
-                            t_hi = t
-                    t_lo = t_hi
+                            end = r
+                    start = end
             if not valid.any():
                 continue
             safe = np.where(lengths > 1e-9, lengths, 1.0)
-            os_dot = ((target0 @ ori)[None, :] - p_ori[:, None]) / safe
+            os_dot = (cut(target0 @ ori)[None, :] - p_ori[:, None]) / safe
             w = entry["w"]
-            s_w = ((target0 @ w)[None, :] - (points @ w)[:, None]) / safe
+            s_w = (cut(target0 @ w)[None, :] - (points @ w)[:, None]) / safe
             amp = float(ori @ w) - os_dot * s_w
             tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
-            yield entry["seq"], lengths, amp, tnorm, valid
+            yield (entry["seq"], lengths, amp, tnorm, valid,
+                   every if kept is None else kept)
 
     def eval_reference(self, points: np.ndarray, orientation=None):
-        """Straightforward per-sequence walk kept as an oracle for eval()."""
+        """Straightforward per-sequence walk kept as an oracle for eval():
+        (seq, lengths, amp, tnorm, valid) for every sequence, each array
+        (V, A)."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         ori = self.copol if orientation is None else unit(orientation)
         ants = self.antennas

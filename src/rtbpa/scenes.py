@@ -148,13 +148,15 @@ def _solve_occluder(emitters: np.ndarray, rx: np.ndarray, y_front: float,
 def _assert_hidden(scene: Scene, emitters: np.ndarray, rx: np.ndarray,
                    copol) -> None:
     """Check the construction claims: no LOS, one ground bounce per pair.
-    Both come from one eval; it yields only sequences with a valid leg."""
+    Both come from one eval; it yields only sequences with a valid leg, on
+    the antenna columns that can hold one."""
     table = ImagePathTable(scene, rx, 1, copol)
-    valid = {seq: ok for seq, _, _, _, ok in table.eval(emitters)}
+    valid = {seq: (ok, cols) for seq, _, _, _, ok, cols
+             in table.eval(emitters)}
     if () in valid:
         raise ScenarioError("occluder does not block every direct segment")
     ground = valid.get((GROUND_ID,))
-    if ground is None or not ground.all():
+    if ground is None or len(ground[1]) < len(rx) or not ground[0].all():
         raise ScenarioError("a ground-bounce path is blocked or invalid")
 
 

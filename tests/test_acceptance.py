@@ -109,7 +109,7 @@ def _valid_legs(scene, voxel, antenna, copol, engine, cfg):
     table of `engine` finds."""
     table = _path_tables(scene, [antenna[None, :]], copol, 2, engine,
                          cfg)(voxel[None, :])[0]
-    return {seq: lengths[0, 0] for seq, lengths, _, _, valid
+    return {seq: lengths[0, 0] for seq, lengths, _, _, valid, _
             in table.eval(voxel[None, :]) if valid[0, 0]}
 
 
@@ -285,12 +285,12 @@ def test_criterion_6_virtual_aperture_resolution():
     width = {}
     for order in (0, 3):
         xs = []
-        for seq, _, _, _, valid in table.eval(center[None, :]):
+        for seq, _, _, _, valid, cols in table.eval(center[None, :]):
             if len(seq) > order:
                 continue
             entry = table._entries[table.sequences.index(seq)]
             images = entry["images"][0] if seq else table.antennas
-            xs.extend(images[valid[0], 0].tolist())
+            xs.extend(images[cols[valid[0]], 0].tolist())
         width[order] = max(xs) - min(xs)
     # The grid's valid legs per sequence length. This scene admits no valid
     # order-3 leg anywhere on its grid, so the order-3 step of the
@@ -299,7 +299,7 @@ def test_criterion_6_virtual_aperture_resolution():
     legs = [0] * 4
     n = scenario.grid.n_voxels
     for lo in range(0, n, 128):
-        for seq, _, _, _, valid in table.eval(
+        for seq, _, _, _, valid, _ in table.eval(
                 scenario.grid.centers_block(lo, min(n, lo + 128))):
             legs[len(seq)] += int(np.count_nonzero(valid))
     ratio = fwhm[3] / fwhm[0]

@@ -288,7 +288,7 @@ class TestSynthesizeRadiation:
         for _ in range(20):
             r = rng.uniform([-0.5, 0.8, 0.3], [0.5, 1.3, 1.2])
             table = ImagePathTable(sc, [r], 1, copol)
-            (_, length, amp, _, valid), = [
+            (_, length, amp, _, valid, _), = [
                 leg for leg in table.eval(src.position[None], copol)
                 if leg[0] == (1,)]
             assert valid[0, 0]
@@ -397,9 +397,9 @@ class TestCornerReflectorImages:
         return {(): src, (1,): floor, (2,): image_dipole(src, self.WALL),
                 (1, 2): both, (2, 1): both}
 
-    def test_far_field_equals_image_sum(self, monkeypatch):
-        # With no cross-pol cut every leg counts, as in image theory.
-        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+    def test_far_field_equals_image_sum(self):
+        # far_field has no cross-pol cut: every leg counts, as in image
+        # theory.
         sc = Scene([self.FLOOR, self.WALL])
         sweep = FrequencySweep(18e9, 20e9, 1e9)
         for src, copol, rx in self.trials(41):
@@ -415,6 +415,37 @@ class TestCornerReflectorImages:
                              for k in sweep.k_values] for r in rx])
             err = np.linalg.norm(syn.samples[0] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
+
+    def test_far_field_keeps_a_sub_threshold_leg(self):
+        # The co-pol vector is turned almost square to the floor bounce's
+        # field at one rx: that leg's normalized co-pol projection, 1e-4,
+        # is below the phase_only cross-pol threshold, yet far_field keeps
+        # its amp / L, as image theory does.
+        src = DipoleSource((0.4, 0.0, 0.5), (1.0, 0.2, 0.3))
+        rx = np.array([[0.7, 1.1, 0.6]])
+        floor = self.images(src)[(1,)]
+        e_b = dipole_field(rx[0], floor, K, "far_field")
+        e_b = e_b.real / np.linalg.norm(e_b.real)
+        away = np.cross(e_b, rx[0] - floor.position)
+        copol = away / np.linalg.norm(away) + 1e-4 * e_b
+        copol /= np.linalg.norm(copol)
+        table = ImagePathTable(Scene([self.FLOOR]), rx, 1, copol)
+        (_, _, amp, tnorm, valid, _), = [
+            leg for leg in table.eval(src.position[None], src.orientation)
+            if leg[0] == (1,)]
+        assert valid[0, 0]
+        assert 0.0 < abs(amp[0, 0]) < fields.CROSS_POL_THRESHOLD * tnorm[0, 0]
+        arrays = AntennaArray(tx_positions=np.zeros((0, 3)),
+                              rx_positions=rx, copol=copol)
+        sweep = FrequencySweep(18e9, 20e9, 1e9)
+        syn = synthesize_radiation_data([src], arrays, Scene([self.FLOOR]),
+                                        sweep, max_order=1,
+                                        amplitude="far_field")
+        ref = np.array([[sum(dipole_field(r, d, k, "far_field") @ copol
+                             for d in (src, floor))
+                         for k in sweep.k_values] for r in rx])
+        err = np.linalg.norm(syn.samples[0] - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref)
 
     def test_phase_only_signs_match_image_dipoles(self, valid_masks):
         sc = Scene([self.FLOOR, self.WALL])
@@ -481,8 +512,7 @@ class TestWedgeReflectorImages:
                                     (self.FLOOR, self.SLOPE)[seq[-1] - 1])
         return out
 
-    def test_far_field_equals_image_sum(self, monkeypatch, valid_masks):
-        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+    def test_far_field_equals_image_sum(self, valid_masks):
         sc = Scene([self.FLOOR, self.SLOPE])
         sweep = FrequencySweep(18e9, 20e9, 1e9)
         for src, copol, rx in self.trials(47):
@@ -526,10 +556,9 @@ class TestParallelPlaneImages:
             rx = rng.uniform([-0.35, 0.8, 0.1], [0.35, 1.6, 1.2], size=(30, 3))
             yield src, copol / np.linalg.norm(copol), rx
 
-    def test_far_field_equals_image_sum_at_order_5(self, monkeypatch,
-                                                   valid_masks):
-        # With no cross-pol cut every leg counts, as in image theory.
-        monkeypatch.setattr(fields, "CROSS_POL_THRESHOLD", 0.0)
+    def test_far_field_equals_image_sum_at_order_5(self, valid_masks):
+        # far_field has no cross-pol cut: every leg counts, as in image
+        # theory.
         order = 5
         sc = Scene([self.LEFT, self.RIGHT])
         sweep = FrequencySweep(18e9, 20e9, 1e9)

@@ -15,7 +15,9 @@ from rtbpa.imaging import (_CHUNK, ImageGrid, ReconstructionConfig, _chunks,
                            _sum_radiation, _sum_scattering, adjoint_pair_check,
                            image_entropy, naive_bpa, peak_locations,
                            psf_metrics, reconstruct_at_points, rt_bpa)
+from rtbpa import propagation
 from rtbpa.propagation import ImagePathTable, SbrConfig
+from rtbpa.scenes import get_scenario, scenario_hidden_dipole
 
 SWEEP = FrequencySweep(18e9, 20e9, 100e6)
 GROUND = Facet.plane(1, (0, 0, 0), (0, 0, 1))
@@ -323,6 +325,68 @@ class TestRtBpaDegeneracy:
                           rng_seed=0))
         img = rt_bpa(ms, small_grid(n=3), sc, cfg)
         assert img.values.shape == (3, 3, 1) and not np.any(img.values)
+
+
+def _crop(grid, i0, j0, ni, nj):
+    """Planar sub-grid from voxel (i0, j0) at the grid's pitch."""
+    return ImageGrid(origin=grid.voxel_center(i0, j0), axes=grid.axes,
+                     spacing=grid.spacing, dims=(ni, nj, 1))
+
+
+class TestColumnPass:
+    """eval's per-antenna-column pass changes no image bit: `rt_bpa` gives
+    the same bytes with it disabled, every per-column `_crossing_box` call
+    answering "no bound", so that every column of a live sequence is
+    evaluated."""
+
+    @staticmethod
+    def disable_column_pass(monkeypatch):
+        box = propagation._crossing_box
+
+        def block_only(p_box, i_box, *args):
+            if isinstance(i_box[0][0], np.ndarray):
+                return False, False, (0.0, 1.0)
+            return box(p_box, i_box, *args)
+
+        monkeypatch.setattr(propagation, "_crossing_box", block_only)
+
+    def assert_same_images(self, monkeypatch, s, data, grid, cfgs, workers):
+        # The crop has sequences the pass cuts, so the check is not empty.
+        table = ImagePathTable(s.scene, s.arrays.rx_positions,
+                               max(cfg.max_order for cfg in cfgs),
+                               s.arrays.copol)
+        assert any(item[5].size < table.antennas.shape[0] for item
+                   in table.eval(grid.centers_block(0, _CHUNK)))
+        images = [rt_bpa(data, grid, s.scene, cfg, workers).values
+                  for cfg in cfgs]
+        assert all(np.any(image) for image in images)
+        self.disable_column_pass(monkeypatch)
+        for cfg, image in zip(cfgs, images):
+            full = rt_bpa(data, grid, s.scene, cfg, workers).values
+            assert full.tobytes() == image.tobytes(), cfg
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_plates_images_and_sbr(self, monkeypatch, workers):
+        s = get_scenario("parallel_plates")
+        data = synthesize_radiation_data(s.sources, s.arrays, s.scene,
+                                         s.sweep, max_order=3)
+        cfgs = [ReconstructionConfig(max_order=m) for m in (1, 2, 3)] + [
+            ReconstructionConfig(
+                max_order=m, path_engine="sbr",
+                sbr=SbrConfig(ray_count=20_000, max_bounces=m, rng_seed=4))
+            for m in (1, 2, 3)]
+        # 32 x 8 voxels around the dipole: two chunks.
+        self.assert_same_images(monkeypatch, s, data,
+                                _crop(s.grid, 64, 8, 32, 8), cfgs, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hidden_dipole_wall(self, monkeypatch, workers):
+        s = scenario_hidden_dipole(side_wall=True)
+        data = synthesize_radiation_data(s.sources, s.arrays, s.scene,
+                                         s.sweep, max_order=2)
+        self.assert_same_images(monkeypatch, s, data,
+                                _crop(s.grid, 58, 55, 32, 8),
+                                [ReconstructionConfig(max_order=2)], workers)
 
 
 def random_adjoint_instance(seed):

@@ -23,7 +23,7 @@ def table_legs(scene, point, antenna, max_order, copol, orientation=None):
     """{sequence: (length, amp, tnorm)} of the valid legs point -> antenna."""
     table = ImagePathTable(scene, [antenna], max_order, copol)
     return {seq: (lengths[0, 0], amp[0, 0], tnorm[0, 0])
-            for seq, lengths, amp, tnorm, valid
+            for seq, lengths, amp, tnorm, valid, _
             in table.eval([point], orientation=orientation) if valid[0, 0]}
 
 
@@ -32,20 +32,29 @@ def sbr_table_legs(scene, point, antenna, cfg, copol=(0, 1, 0)):
     sequences one SBR launch from `point` captured."""
     table = _path_tables(scene, [np.array([antenna], dtype=float)], copol,
                          cfg.max_bounces, "sbr", cfg)([point])[0]
-    return {seq: lengths[0, 0] for seq, lengths, _, _, valid
+    return {seq: lengths[0, 0] for seq, lengths, _, _, valid, _
             in table.eval([point]) if valid[0, 0]}
 
 
 def eval_against_reference(table, pts, orientation=None):
     """[(eval item, eval_reference item)] per sequence eval yields, once eval
     is shown to yield exactly, in table order, the sequences for which the
-    reference finds a valid leg."""
+    reference finds a valid leg, and to drop only columns that hold none.
+    The reference item is cut to eval's kept columns."""
     ref = {item[0]: item for item
            in table.eval_reference(pts, orientation=orientation)}
     fast = list(table.eval(pts, orientation=orientation))
     assert [item[0] for item in fast] == [
         seq for seq, item in ref.items() if item[4].any()]
-    return [(item, ref[item[0]]) for item in fast]
+    pairs = []
+    for item in fast:
+        cols = item[5]
+        want = ref[item[0]]
+        dropped = np.ones(table.antennas.shape[0], bool)
+        dropped[cols] = False
+        assert not want[4][:, dropped].any()
+        pairs.append((item, (want[0],) + tuple(a[:, cols] for a in want[1:])))
+    return pairs
 
 
 def reference_trace(points, antennas, scene, cfg):
@@ -679,34 +688,126 @@ def _adversarial_blocks():
     yield "on_ground_plane", table, on_plane * [1, 1, 0]
 
 
+def no_bound(*args):
+    """`_crossing_box` reduced to "no bound": every test stays undecided."""
+    return False, False, (0.0, 1.0)
+
+
+def assert_cut_of(got, want, n_ant, label=None):
+    """`got`, an eval item, is `want`, an eval item of every column, cut to
+    got's kept columns, bit for bit; want holds no valid leg on the others."""
+    assert got[0] == want[0]
+    assert np.array_equal(want[5], np.arange(n_ant))
+    cols = got[5]
+    assert np.all(np.diff(cols) > 0)
+    dropped = np.ones(n_ant, bool)
+    dropped[cols] = False
+    assert not want[4][:, dropped].any(), (label, got[0])
+    for k in range(1, 5):  # lengths, amp, tnorm, valid
+        assert np.array_equal(got[k], want[k][:, cols]), (label, got[0], k)
+
+
+def _random_cull_scenes():
+    """(name, table, points) on seeded random scenes: a ground plane, two
+    rectangles and a triangle, every facet an occluder, with 480 antennas
+    spread far enough in x that many columns die, and point blocks of 1, 7
+    and 40 voxels. At this width a BLAS product of the kept columns alone
+    would round some columns differently from the full-width one."""
+    for seed in range(5):
+        rng = np.random.default_rng(300 + seed)
+        facets = [Facet.plane(1, (0, 0, 0), (0, 0, 1))]
+        for fid in (2, 3):
+            u = rng.normal(size=3)
+            v = np.cross(u, rng.normal(size=3))
+            facets.append(Facet.rectangle(
+                fid, rng.uniform([-1.0, 0.3, 0.1], [0.5, 0.9, 0.6]),
+                u / np.linalg.norm(u) * rng.uniform(0.3, 1.0),
+                v / np.linalg.norm(v) * rng.uniform(0.3, 1.0)))
+        corner = rng.uniform([0.4, -0.6, 0.1], [0.8, 0.2, 0.5])
+        facets.append(Facet.triangle(4, corner, corner + rng.uniform(
+            -0.6, 0.6, 3), corner + rng.uniform(-0.6, 0.6, 3)))
+        ants = rng.uniform([-2.5, 1.0, 0.2], [2.5, 1.6, 1.4], size=(480, 3))
+        table = ImagePathTable(Scene(facets), ants, 2, (1, 0, 0))
+        for n in (1, 7, 40):
+            pts = rng.uniform([-0.3, -0.5, 0.1], [0.3, 0.1, 1.0], size=(n, 3))
+            yield f"seed{seed}_v{n}", table, pts
+    # A plate at y = 1 over the ground, points and antennas near y = 0.5:
+    # the plate bounce (2,) reaches it inside x in [0, 1] only from the
+    # antenna near x = 0.5, so exactly one column survives (numpy's gemv
+    # case). The coordinates are random, so that a product of that column
+    # alone would round differently from the full-width one.
+    rng = np.random.default_rng(310)
+    plate = Facet.rectangle(2, (0, 1, 0), (1, 0, 0), (0, 0, 1))
+    ants = rng.uniform(-0.05, 0.05, size=(5, 3)) + np.column_stack(
+        [[-3.0, -2.0, 0.5, 2.5, 3.5], np.full(5, 0.5), np.full(5, 0.5)])
+    table = ImagePathTable(Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)),
+                                  plate]), ants, 1, (1, 0, 0))
+    pts = rng.uniform([0.45, 0.45, 0.4], [0.55, 0.55, 0.6], size=(8, 3))
+    yield "one_column", table, pts
+
+
+class TestColumnCull:
+    """The per-column pass drops only antenna columns that hold no valid
+    leg, and on the columns it keeps eval yields, bit for bit, what an eval
+    without any bound yields there."""
+
+    def test_dropped_columns_hold_no_valid_leg(self):
+        for name, table, pts in _random_cull_scenes():
+            # eval_against_reference asserts it for every yielded sequence.
+            for fast, ref in eval_against_reference(table, pts):
+                assert np.array_equal(fast[4], ref[4]), (name, fast[0])
+
+    def test_kept_columns_match_an_unbounded_eval(self, monkeypatch):
+        cut = one_column = one_point = 0
+        for name, table, pts in _random_cull_scenes():
+            culled = list(table.eval(pts))
+            with monkeypatch.context() as m:
+                m.setattr(propagation, "_crossing_box", no_bound)
+                dense = list(table.eval(pts))
+            assert [item[0] for item in culled] == [
+                item[0] for item in dense]
+            n_ant = table.antennas.shape[0]
+            for got, want in zip(culled, dense):
+                assert_cut_of(got, want, n_ant, name)
+                cut += got[5].size < n_ant
+                one_column += got[5].size == 1 and pts.shape[0] > 1
+                one_point += got[5].size < n_ant and pts.shape[0] == 1
+        assert cut >= 20 and one_column and one_point
+
+
 class TestCrossingBoxCull:
-    """The crossing-box cull skips only facet tests whose result it has
-    proven: with `_crossing_box` reduced to "no bound", every facet takes
-    the dense test, and eval yields the same arrays bit for bit."""
+    """The crossing-box cull skips only facet tests and antenna columns
+    whose result it has proven: with `_crossing_box` reduced to "no bound",
+    every facet takes the dense test on every column, and eval yields the
+    same arrays on the kept columns bit for bit."""
 
     def test_cull_changes_no_yielded_array(self, monkeypatch):
         outcomes = set()
         box = propagation._crossing_box
 
         def spy(*args):
-            out = box(*args)
-            outcomes.add(out[0])
-            return out
+            miss, sure, t_box = box(*args)
+            kind = ("column" if isinstance(args[1][0][0], np.ndarray)
+                    else "block")
+            for name, mask in (("missed", miss), ("hit", sure),
+                               ("no bound", np.logical_not(miss | sure))):
+                if np.any(mask):
+                    outcomes.add((kind, name))
+            return miss, sure, t_box
 
         cases = list(_builtin_blocks()) + list(_adversarial_blocks())
         for name, table, pts in cases:
             monkeypatch.setattr(propagation, "_crossing_box", spy)
             culled = list(table.eval(pts))
-            monkeypatch.setattr(propagation, "_crossing_box",
-                                lambda *args: (None, (0.0, 1.0)))
+            monkeypatch.setattr(propagation, "_crossing_box", no_bound)
             dense = list(table.eval(pts))
             assert len(culled) == len(dense)
             for got, want in zip(culled, dense):
-                assert got[0] == want[0]
-                for k in range(1, 5):  # lengths, amp, tnorm, valid
-                    assert np.array_equal(got[k], want[k]), (name, got[0], k)
-        # Each branch fired: proven missed, proven hit and no bound.
-        assert outcomes == {False, True, None}
+                assert_cut_of(got, want, table.antennas.shape[0], name)
+        # Each branch fired in both passes: proven missed, proven hit and
+        # no bound.
+        assert outcomes == {(kind, name) for kind in ("block", "column")
+                            for name in ("missed", "hit", "no bound")}
 
     def test_yields_exactly_the_sequences_with_a_valid_leg(self):
         cases = list(_builtin_blocks()) + list(_adversarial_blocks())
@@ -735,3 +836,40 @@ class TestCrossingBoxCull:
         assert [item[0] for item in table.eval(pts)] == [(1,)]
         assert sum(boxes is None for boxes in decided) == 4
         assert dense == []
+
+    def test_dead_order_3_plate_sequences_reach_no_dense_test(
+            self, monkeypatch):
+        # parallel_plates admits no (1, 2, 1) or (2, 1, 2) leg anywhere on
+        # its grid. Whole blocks leave some of their tests undecided, but
+        # per antenna column every column is proven dead, so neither
+        # sequence reaches `_facet_hit` or builds a (V, A) array.
+        s = get_scenario("parallel_plates")
+        table = ImagePathTable(s.scene, s.arrays.rx_positions, 3,
+                               s.arrays.copol)
+        events = []
+        box, hit = propagation._box_decisions, propagation._facet_hit
+
+        def box_spy(*args):
+            events.append(("box", box(*args)))
+            return events[-1][1]
+
+        def hit_spy(*args):
+            events.append(("hit", None))
+            return hit(*args)
+
+        monkeypatch.setattr(propagation, "_box_decisions", box_spy)
+        monkeypatch.setattr(propagation, "_facet_hit", hit_spy)
+        dead = [(1, 2, 1), (2, 1, 2)]
+        n = s.grid.n_voxels
+        for lo in range(0, n, 128):
+            events.clear()
+            items = list(table.eval(s.grid.centers_block(lo, lo + 128)))
+            assert not [item for item in items if item[0] in dead]
+            seqs = iter(table.sequences)
+            for kind, out in events:
+                if kind == "box":
+                    seq = next(seqs)
+                    if seq in dead:
+                        assert out is None, (lo, seq)
+                else:
+                    assert seq not in dead, (lo, seq)

@@ -137,7 +137,8 @@ class TestParallelPlates:
         center = s.sources[0].position
         rx_mid = np.array([0.0, 1.0, 0.7])
         table = ImagePathTable(s.scene, [rx_mid], 1, s.arrays.copol)
-        valid = [seq for seq, _, _, _, ok in table.eval([center]) if ok[0, 0]]
+        valid = [seq for seq, _, _, _, ok, _ in table.eval([center])
+                 if ok[0, 0]]
         # LOS plus one bounce off each plate
         assert sorted(len(seq) for seq in valid) == [0, 1, 1]
 
