@@ -33,7 +33,7 @@ MAX_TABLE_LEGS = 1 << 19
 # Largest SBR launch: each ray holds ~100-200 bytes of launch state (start,
 # direction, sequence, per-bounce copies), so 10^7 rays stay near 2 GB.
 MAX_RAYS = 10_000_000
-# Antennas per bounding sphere of the SBR capture prefilter.
+# Most antennas in a leaf of the SBR capture test's bounding-sphere tree.
 CLUSTER_SIZE = 64
 # Most (ray, antenna) pairs one exact SBR capture test holds at a time.
 PAIR_BLOCK = 1 << 16
@@ -104,34 +104,39 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _antenna_clusters(antennas: np.ndarray):
-    """Split the antennas into groups of at most CLUSTER_SIZE by recursive
-    median splits along the widest axis; yield (members, center, radius) of
-    each group's bounding sphere."""
-    stack = [np.arange(antennas.shape[0])]
-    while stack:
-        members = stack.pop()
-        if members.size == 0:
-            continue
-        pts = antennas[members]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        if members.size > CLUSTER_SIZE:
-            order = np.argsort(pts[:, np.argmax(hi - lo)], kind="stable")
-            half = members.size // 2
-            stack += [members[order[:half]], members[order[half:]]]
-            continue
-        center = 0.5 * (lo + hi)
-        yield members, center, float(np.sqrt(
-            np.einsum("ij,ij->i", pts - center, pts - center).max()))
+def _antenna_clusters(antennas: np.ndarray, members=None):
+    """The bounding-sphere tree of the antennas (or of `members`, indices
+    into them): a node is (members, center, radius, children), and a node
+    of more than CLUSTER_SIZE antennas has two children, its halves by a
+    median split along its widest axis. None when there is no antenna."""
+    if members is None:
+        members = np.arange(antennas.shape[0])
+    if members.size == 0:
+        return None
+    pts = antennas[members]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    center = 0.5 * (lo + hi)
+    radius = float(np.sqrt(
+        np.einsum("ij,ij->i", pts - center, pts - center).max()))
+    children = []
+    if members.size > CLUSTER_SIZE:
+        order = np.argsort(pts[:, np.argmax(hi - lo)], kind="stable")
+        half = members.size // 2
+        children = [_antenna_clusters(antennas, members[order[:half]]),
+                    _antenna_clusters(antennas, members[order[half:]])]
+    return members, center, radius, children
 
 
-def _segment_dist2(o: np.ndarray, d: np.ndarray, t_hit: np.ndarray,
-                   target: np.ndarray) -> np.ndarray:
+def _segment_dist2(o, d, t_hit, target):
     """Squared distance from each ray segment o + t d, 0 <= t <= t_hit, to
-    its target point (one point, or one per segment)."""
-    tc = np.clip(np.einsum("ij,ij->i", target - o, d), 0.0, t_hit)
-    closest = o + tc[:, None] * d
-    return np.einsum("ij,ij->i", closest - target, closest - target)
+    its target point. o, d and target are coordinate rows (3, ...) that
+    broadcast together, and t_hit broadcasts against each row. Each 3-term
+    sum runs x, then y, then z, whatever the shapes."""
+    (ox, oy, oz), (dx, dy, dz), (tx, ty, tz) = o, d, target
+    tc = np.clip((tx - ox) * dx + (ty - oy) * dy + (tz - oz) * dz,
+                 0.0, t_hit)
+    cx, cy, cz = ox + tc * dx - tx, oy + tc * dy - ty, oz + tc * dz - tz
+    return cx * cx + cy * cy + cz * cz
 
 
 def sbr_trace(points, antennas, scene: Scene,
@@ -146,15 +151,16 @@ def sbr_trace(points, antennas, scene: Scene,
     only a candidate: the exact path of each one (and whether it exists)
     comes from the image method.
 
-    The capture test runs in two steps. The antennas are grouped into
-    bounding spheres once per launch, and a (segment, group) pair is dropped
-    when the segment passes farther than the sphere's radius plus the capture
-    radius (plus a rounding margin) from its center, so that no antenna of
-    the group can capture it. The surviving (segment, antenna) pairs are
-    then tested exactly, in flat
-    blocks of at most PAIR_BLOCK pairs, with the per-pair arithmetic of
-    `_segment_dist2`; the capture sets therefore do not depend on the
-    grouping or the blocks.
+    At every bounce the capture test walks the antennas' bounding-sphere
+    tree (`_antenna_clusters`) top down, with the live rays held as
+    coordinate rows. A node drops the rays, among those its parent kept,
+    whose segment passes farther than the node's radius plus the capture
+    radius (plus a rounding margin) from its center, so that none of its
+    antennas can capture them. A leaf then tests its kept rays against each
+    of its antennas exactly, in dense blocks of at most PAIR_BLOCK pairs,
+    with the per-pair arithmetic of `_segment_dist2`. Every node is
+    conservative and the exact test of a pair does not depend on its block,
+    so the capture sets do not depend on the tree or the blocks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
@@ -163,17 +169,40 @@ def sbr_trace(points, antennas, scene: Scene,
     dirs = _uniform_sphere(rng, n)
     origins = points[np.arange(n) * points.shape[0] // n]
     alive = np.ones(n, dtype=bool)
-    seqs = np.full((n, cfg.max_bounces), -1, dtype=np.int64)
+    # Live rays that hit the same facets share a code; seq_of[code] holds
+    # their sequence.
+    codes, seq_of = np.zeros(n, dtype=np.int64), [()]
     captured: List[Set[Tuple[int, ...]]] = [set() for _ in antennas]
-    facet_ids = np.array([f.id for f in scene.all_facets], dtype=np.int64)
+    facet_ids = [f.id for f in scene.all_facets]
     facet_normals = (np.array([f.normal for f in scene.all_facets])
                      if scene.all_facets else np.empty((0, 3)))
-    clusters = list(_antenna_clusters(antennas))
+    tree = _antenna_clusters(antennas)
     r2 = cfg.capture_radius ** 2
-    # The computed distances of a captured pair and of its group's center
+    # The computed distances of a captured pair and of its node's center
     # each err by a few ulps of the coordinates involved; this margin is
     # orders of magnitude above that.
     scale = 1.0 + (float(np.abs(antennas).max()) if antennas.size else 0.0)
+
+    def walk(node, rows):
+        """Arrays of capture keys, antenna * len(seq_of) + code, under
+        `node` of the rays in rows (9, k): origin, direction, t_hit, margin
+        and code."""
+        members, center, radius, children = node
+        rows = rows[:, _segment_dist2(rows[0:3], rows[3:6], rows[6], center)
+                    <= (radius + cfg.capture_radius + rows[7]) ** 2]
+        if not rows.shape[1]:
+            return []
+        if children:
+            return [key for child in children for key in walk(child, rows)]
+        keys, ants = [], antennas.T[:, None, members]
+        step = max(1, PAIR_BLOCK // members.size)
+        for lo in range(0, rows.shape[1], step):
+            blk = rows[:, lo:lo + step, None]
+            ray, ant = np.nonzero(
+                _segment_dist2(blk[0:3], blk[3:6], blk[6], ants) <= r2)
+            keys.append(members[ant] * len(seq_of)
+                        + blk[8, ray, 0].astype(np.int64))
+        return keys
 
     for bounce in range(cfg.max_bounces + 1):
         idx = np.flatnonzero(alive)
@@ -182,22 +211,16 @@ def sbr_trace(points, antennas, scene: Scene,
         o = origins[idx]
         d = dirs[idx]
         t_hit, hit_fi = rays_nearest_hit(o, d, scene)
-        margin = 1e-9 * (scale + np.abs(o).max(axis=1))
-        for members, center, radius in clusters:
-            near = np.flatnonzero(_segment_dist2(o, d, t_hit, center) <= (
-                radius + cfg.capture_radius + margin) ** 2)
-            step = max(1, PAIR_BLOCK // members.size)
-            for lo in range(0, near.size, step):
-                ray = np.repeat(near[lo:lo + step], members.size)
-                ant = np.tile(members, min(step, near.size - lo))
-                hits = _segment_dist2(o[ray], d[ray], t_hit[ray],
-                                      antennas[ant]) <= r2
-                if not hits.any():
-                    continue
-                rows = np.column_stack(
-                    [ant[hits], seqs[idx[ray[hits]], :bounce]])
-                for ai, *seq in rows.tolist():
-                    captured[ai].add(tuple(seq))
+        if tree is not None:
+            ax, ay, az = np.abs(o.T)  # 10x faster than a reduce over axis 1
+            margin = 1e-9 * (scale + np.maximum(np.maximum(ax, ay), az))
+            keys = walk(tree, np.vstack((o.T, d.T, t_hit, margin, codes[idx])))
+            # One key per (antenna, sequence) before any set is touched;
+            # return_index keeps np.unique from importing numpy.ma.
+            keys = np.concatenate(keys or [np.empty(0, np.int64)])
+            for key in np.unique(keys, return_index=True)[0].tolist():
+                ant, code = divmod(key, len(seq_of))
+                captured[ant].add(seq_of[code])
         if bounce == cfg.max_bounces:
             break
         hit_ok = np.isfinite(t_hit)
@@ -215,7 +238,12 @@ def sbr_trace(points, antennas, scene: Scene,
         dn = np.einsum("ij,ij->i", d[keep], nrm)
         dirs[rays] = d[keep] - 2.0 * dn[:, None] * nrm
         origins[rays] = o[keep] + t_hit[keep, None] * d[keep]
-        seqs[rays, bounce] = facet_ids[hit_fi[keep]]
+        # Renumber the live rays' sequences, each one bounce longer.
+        nf = len(facet_ids)
+        extended, codes[rays] = np.unique(codes[rays] * nf + hit_fi[keep],
+                                          return_inverse=True)
+        seq_of = [seq_of[c // nf] + (facet_ids[c % nf],)
+                  for c in extended.tolist()]
     return captured
 
 
@@ -341,7 +369,8 @@ def _walk_tests(legs, p_box, i_side, l_min: float, block=None):
         t_lo = t_next
 
 
-def _box_decisions(legs, p_box, i_box, l_min: float, iv: np.ndarray):
+def _box_decisions(legs, p_box, i_box, l_min: float,
+                   iv: Optional[np.ndarray]):
     """Decide the facet tests of one sequence before any (V, A) array of it
     exists: (kept, dense), or None when no antenna column can hold a valid
     leg.
@@ -354,14 +383,16 @@ def _box_decisions(legs, p_box, i_box, l_min: float, iv: np.ndarray):
     occluder blocks every valid leg; `kept` indexes the others (None: every
     column). dense[i] selects, among the kept columns, those on which test
     i must still run: None for none, slice(None) for all, else their
-    positions."""
+    positions. iv None skips the column pass: every column is kept, and
+    every test the block pass leaves undecided runs on all of them."""
     block = []
     for out in _walk_tests(legs, p_box, i_box, l_min):
         if out[0]:
             return None
         block.append(out)
-    if all(decided for _, decided, _ in block):
-        return None, [None] * len(block)
+    if iv is None or all(decided for _, decided, _ in block):
+        return None, [None if decided else slice(None)
+                      for _, decided, _ in block]
     alive = np.ones(iv.shape[1], dtype=bool)
     undecided = []
     for (_, done, _), (dead, decided, _) in zip(
@@ -511,11 +542,11 @@ class ImagePathTable:
 
         `_box_decisions` first decides each test over the whole block from
         the per-side values alone, with L bounded below by the gap between
-        the bounding boxes of the points and of the deepest images, and then
-        per antenna column each test the block leaves undecided; the images'
-        side is computed once per table (`_image_side`). A sequence with no
-        column left costs O(V + A) after the first eval: no (V, A) array of
-        it is built. Only the kept columns are evaluated, and only the tests
+        the bounding boxes of the points and of the deepest images, and then,
+        on two or more points, per antenna column each test the block leaves
+        undecided; the images' side is computed once per table
+        (`_image_side`). A sequence with no column left costs O(V + A) after
+        the first eval: no (V, A) array of it is built. Only the kept columns are evaluated, and only the tests
         some kept column leaves undecided run on their arrays; those alone
         decide the mask, so it is the one the dense test gives. A sequence
         whose mask ends empty is not yielded either.
@@ -539,9 +570,12 @@ class ImagePathTable:
                                              p_lo - t_box[1]))
             l_min = math.sqrt(max(float(gap @ gap) - 1e-12 * (
                 p_far + t_far) ** 2, 0.0))
+            # On one point a column's bounds cost more numpy calls than
+            # the (1, A) dense test they would save.
             boxes = _box_decisions(
                 entry["legs"], (pv.min(axis=1).tolist(),
-                                pv.max(axis=1).tolist()), i_box, l_min, iv)
+                                pv.max(axis=1).tolist()), i_box, l_min,
+                iv if points.shape[0] > 1 else None)
             if boxes is None:
                 continue
             kept, dense = boxes

@@ -498,6 +498,117 @@ class TestCaptureOracle:
         assert sbr_trace(source, antennas, scene, cfg) == expected
 
 
+def tree_nodes(node):
+    """Every node of an `_antenna_clusters` tree, parents before children."""
+    yield node
+    for child in node[3]:
+        yield from tree_nodes(child)
+
+
+class TestAntennaTree:
+    """The capture test's bounding-sphere tree: every node is conservative,
+    so neither its depth nor its leaves change a capture."""
+
+    @pytest.mark.parametrize("name", ["plates_seed0", "hidden_grid_points"])
+    def test_any_leaf_size_matches_the_oracle(self, name, monkeypatch):
+        _, points, antennas, scene, cfg = next(
+            case for case in _capture_cases() if case[0] == name)
+        expected = reference_trace(points, antennas, scene, cfg)
+        for size in (1, 7):  # trees of 10-12 and 8-9 levels, not 4-6
+            monkeypatch.setattr(propagation, "CLUSTER_SIZE", size)
+            assert sbr_trace(points, antennas, scene, cfg) == expected, size
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_spheres_hold_their_members(self, size, monkeypatch):
+        monkeypatch.setattr(propagation, "CLUSTER_SIZE", size)
+        rng = np.random.default_rng(8)
+        for antennas in (scenario_hidden_dipole().arrays.rx_positions,
+                         rng.uniform(-2.0, 2.0, (300, 3)),
+                         np.tile([0.5, 0.8, 0.9], (100, 1))):
+            root = propagation._antenna_clusters(antennas)
+            assert np.array_equal(root[0], np.arange(len(antennas)))
+            for members, center, radius, children in tree_nodes(root):
+                dist = np.linalg.norm(antennas[members] - center, axis=1)
+                assert dist.max() <= radius + 1e-12
+                if not children:
+                    assert 1 <= members.size <= size
+                    continue
+                assert members.size > size and len(children) == 2
+                parts = np.concatenate([child[0] for child in children])
+                assert np.array_equal(np.sort(parts), np.sort(members))
+
+    @pytest.mark.parametrize("size", [1, 4, 64])
+    def test_capture_just_inside_the_radius_of_a_leaf_edge(self, size,
+                                                           monkeypatch):
+        # One ray from the origin, unobstructed. Ten antennas on a line
+        # perpendicular to it: antenna 0, an end of every leaf that holds
+        # it and so its outermost antenna, lies 1e-6 of the capture radius
+        # inside the radius from the ray. The leaf's center lies that far
+        # plus the leaf's radius from the ray, just inside its prefilter.
+        monkeypatch.setattr(propagation, "CLUSTER_SIZE", size)
+        cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.05,
+                        rng_seed=3)
+        u = propagation._uniform_sphere(np.random.default_rng(3), 1)[0]
+        e = np.cross(u, (0.0, 0.0, 1.0))
+        e /= np.linalg.norm(e)
+        gap = cfg.capture_radius * (1.0 - 1e-6)
+        antennas = 5.0 * u + np.outer(gap + 0.3 * np.arange(10), e)
+        leaf = next(node for node in tree_nodes(
+            propagation._antenna_clusters(antennas))
+            if not node[3] and 0 in node[0])
+        assert np.isclose(np.linalg.norm(antennas[0] - leaf[1]), leaf[2])
+        expected = [{()}] + [set()] * 9
+        assert reference_trace((0, 0, 0), antennas, Scene([]), cfg) == expected
+        assert sbr_trace((0, 0, 0), antennas, Scene([]), cfg) == expected
+
+
+def dist2_scalar(o, d, t_hit, target):
+    """`_segment_dist2` of one segment in Python floats, in its order."""
+    tc = ((target[0] - o[0]) * d[0] + (target[1] - o[1]) * d[1]
+          + (target[2] - o[2]) * d[2])
+    tc = min(max(tc, 0.0), t_hit)
+    c = [o[k] + tc * d[k] - target[k] for k in range(3)]
+    return c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+
+
+class TestSegmentDist2:
+    """The capture distance sums x, then y, then z, in every layout: the
+    captures do not depend on how a numpy build orders a reduction."""
+
+    def segments(self, n=10_000):
+        rng = np.random.default_rng(17)
+        o = rng.uniform(-3.0, 3.0, (3, n))
+        d = propagation._uniform_sphere(rng, n).T.copy()
+        t_hit = rng.uniform(0.0, 4.0, n)
+        t_hit[::7] = np.inf
+        return rng, o, d, t_hit
+
+    def test_shared_target_matches_a_scalar_loop(self):
+        _, o, d, t_hit = self.segments()
+        target = np.array([0.3, -1.2, 2.1])
+        got = propagation._segment_dist2(o, d, t_hit, target)
+        want = [dist2_scalar(o[:, i].tolist(), d[:, i].tolist(),
+                             float(t_hit[i]), target.tolist())
+                for i in range(t_hit.size)]
+        assert got.tolist() == want
+
+    def test_target_per_segment_matches_a_scalar_loop(self):
+        rng, o, d, t_hit = self.segments()
+        target = rng.uniform(-3.0, 3.0, o.shape)
+        got = propagation._segment_dist2(o, d, t_hit, target)
+        want = [dist2_scalar(o[:, i].tolist(), d[:, i].tolist(),
+                             float(t_hit[i]), target[:, i].tolist())
+                for i in range(t_hit.size)]
+        assert got.tolist() == want
+        # A leaf's (rays x antennas) broadcast gives each pair the same bits.
+        pairs = propagation._segment_dist2(
+            o[:, :100, None], d[:, :100, None], t_hit[:100, None],
+            target[:, None, :50])
+        ray, ant = np.divmod(np.arange(5000), 50)
+        assert np.array_equal(pairs.ravel(), propagation._segment_dist2(
+            o[:, ray], d[:, ray], t_hit[ray], target[:, ant]))
+
+
 class TestPairWavefronts:
     """A scattering wavefront pairs one tx leg with one rx leg; the sum
     weighs it by the product wt * wr of the two leg weights."""
@@ -749,7 +860,8 @@ def _random_cull_scenes():
 class TestColumnCull:
     """The per-column pass drops only antenna columns that hold no valid
     leg, and on the columns it keeps eval yields, bit for bit, what an eval
-    without any bound yields there."""
+    without any bound yields there. A one-point block skips it and keeps
+    every column."""
 
     def test_dropped_columns_hold_no_valid_leg(self):
         for name, table, pts in _random_cull_scenes():
@@ -771,7 +883,9 @@ class TestColumnCull:
                 assert_cut_of(got, want, n_ant, name)
                 cut += got[5].size < n_ant
                 one_column += got[5].size == 1 and pts.shape[0] > 1
-                one_point += got[5].size < n_ant and pts.shape[0] == 1
+                if pts.shape[0] == 1:  # no column pass: every column kept
+                    assert got[5].size == n_ant, (name, got[0])
+                    one_point += 1
         assert cut >= 20 and one_column and one_point
 
 
