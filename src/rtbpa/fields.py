@@ -4,11 +4,16 @@ multipath measurement synthesis for radiation and Born point-scatterer data.
 The default propagation amplitude convention is unit magnitude (phase_only):
 every wavefront contributes sign * exp(-j k L), which makes the multipath
 back-projection operator an exact transpose of the synthesizer.
+
+Synthesis runs per block of emitters: the images engine evaluates each path
+table once per block of up to _CHUNK emitters that share one orientation;
+the SBR engine launches once per emitter, so its blocks hold one emitter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
@@ -26,6 +31,14 @@ AmplitudeMode = Literal["phase_only", "far_field"]
 # 1 GiB of complex128 samples, of which forward synthesis holds about three
 # at once. Checked from the sizes before any array is built.
 MAX_SAMPLES = 1 << 26
+# Points per forward block and per reconstruction chunk at most: fixed, so
+# no bit depends on the worker count.
+_CHUNK = 128
+# Most entries a forward block's BLAS product of one tx row reads at once:
+# OpenBLAS splits a complex matrix-vector product of 4096 or more between
+# its threads, and a product waiting on a descheduled thread can stall for
+# hundreds of ms, far longer than the product itself takes.
+_GEMV_ENTRIES = 4095
 
 
 def _check_sample_count(n_tx: int, n_rx: int, n_k: int) -> None:
@@ -130,7 +143,7 @@ class MeasurementSet:
                              f"not match axes {expected}")
         if self.mode == "radiation" and self.tx_positions.shape[0] != 1:
             raise ValueError("radiation mode uses a single dummy tx axis")
-        if not np.all(np.isfinite(self.samples.view(float))):
+        if not np.all(np.isfinite(self.samples)):  # any layout
             raise ValueError("samples must be finite")
 
     @property
@@ -365,18 +378,85 @@ def _weighted_legs(table: ImagePathTable, points: np.ndarray,
     return out
 
 
-def _leg_spectrum(table: ImagePathTable, point: np.ndarray,
-                  orientation: np.ndarray, kvals: np.ndarray,
-                  amplitude: AmplitudeMode) -> np.ndarray:
-    """Sum of coeff * exp(-j k L) over all legs of `table` from `point`,
-    shape (A, K): the conjugate of the back-projection's phasors."""
-    acc = np.zeros((kvals.size, table.antennas.shape[0]), dtype=np.complex128)
-    for lengths, coeff in _weighted_legs(table, point[None, :], amplitude,
-                                         orientation):
-        if np.any(coeff):
-            for i, p in enumerate(_phasors(kvals, lengths[0], coeff[0])):
-                acc[i] += p
-    return acc.T.conj()
+def _blocks(orientations: np.ndarray, size: int) -> List[np.ndarray]:
+    """Emitter indices per forward block: runs of at most `size` emitters
+    that share one orientation, each in input order, the blocks ordered by
+    their first emitter (so one-emitter blocks keep the input order)."""
+    groups: dict = {}
+    for i, ori in enumerate(orientations):
+        groups.setdefault(ori.tobytes(), []).append(i)
+    return sorted((np.array(g[lo:lo + size]) for g in groups.values()
+                   for lo in range(0, len(g), size)), key=lambda b: b[0])
+
+
+def _block_legs(table: ImagePathTable, points: np.ndarray, orientation,
+                amplitude: AmplitudeMode):
+    """(lengths, w), each (N, C * A), of the C leg classes with a nonzero
+    weight in a point block, side by side in table order; None if none."""
+    legs = [(L, w) for L, w in _weighted_legs(table, points, amplitude,
+                                              orientation) if np.any(w)]
+    if not legs:
+        return None
+    return np.hstack([L for L, _ in legs]), np.hstack([w for _, w in legs])
+
+
+def _spectra(kvals: np.ndarray, side, rows: slice, n_ant: int):
+    """Yield, for each k, a side's leg spectrum on the emitter rows `rows`,
+    (rows, n_ant): the phasors of its classes summed in table order."""
+    lengths, w = side
+    for p in _phasors(kvals, lengths[rows], w[rows]):
+        yield (p if p.shape[1] == n_ant else
+               p.reshape(p.shape[0], -1, n_ant).sum(axis=1))
+
+
+def _synthesize(points: np.ndarray, orientations: np.ndarray,
+                weights: np.ndarray, tables, n_ant: Sequence[int],
+                kvals: np.ndarray, amplitude: AmplitudeMode,
+                path_engine: str) -> np.ndarray:
+    """samples[tx, rx, k] = sum over emitters n of weights[n] *
+    conj(T[n, tx, k] R[n, rx, k]), (n_tx, n_rx, K) for n_ant = (n_tx,
+    n_rx), where a side's leg spectrum T or R sums w exp(+j k L) over its
+    leg classes: the conjugate of the back-projection's phasors.
+    `tables(points, launch)` gives a block's [tx, rx] path tables, or [rx]
+    alone for radiation data, whose one tx row has T = 1.
+
+    A block (`_blocks`) holds up to _CHUNK emitters of one orientation, or
+    one emitter under the SBR engine, which launches once per emitter. Each
+    runs one eval per table and one phasor recurrence per side over all its
+    emitters. The recurrence runs in row blocks of about _CIS_BLOCK
+    elements, all K steps of one before the next, so that its phasors stay
+    in L2. At each k the classes of a side are summed per emitter, and the
+    emitters are then contracted by BLAS products, (conj(weights) T)^T R,
+    into a (K, n_tx, n_rx) accumulator, in pieces of at most
+    _GEMV_ENTRIES // rows rx columns, so that no product of one tx row is
+    split between threads. No (K, N, A) array is built. A one-emitter block
+    sums its classes as a per-emitter sum does, and its product with a unit
+    weight is exact, so it adds that emitter's radiation data bit for bit.
+    """
+    acc = np.zeros((kvals.size,) + tuple(n_ant), dtype=np.complex128)
+    block = 1 if path_engine == "sbr" else _CHUNK
+    for idx in _blocks(orientations, block):
+        sides = [_block_legs(table, points[idx], orientations[idx[0]],
+                             amplitude)
+                 for table in tables(points[idx], int(idx[0]))]
+        if any(side is None for side in sides):
+            continue  # a side without a leg: the block adds nothing
+        w_conj = np.conj(weights[idx])
+        n_rows = max(1, _CIS_BLOCK // max(s[0].shape[1] for s in sides))
+        for lo in range(0, idx.size, n_rows):
+            rows = slice(lo, lo + n_rows)
+            spectra = [_spectra(kvals, side, rows, n)
+                       for side, n in zip(sides, n_ant[-len(sides):])]
+            if len(spectra) == 1:  # radiation data: T = 1
+                spectra.insert(0, repeat(np.ones((1, 1))))
+            cols = max(1, _GEMV_ENTRIES // len(w_conj[rows]))
+            for i, (t, r) in enumerate(zip(*spectra)):
+                wt = (w_conj[rows, None] * t).T
+                for lo_c in range(0, r.shape[1], cols):
+                    part = slice(lo_c, lo_c + cols)
+                    prod = wt @ r[:, part]
+                    acc[i, :, part] += np.conj(prod, out=prod)
+    return np.ascontiguousarray(acc.transpose(1, 2, 0))
 
 
 def synthesize_radiation_data(sources: Sequence[DipoleSource],
@@ -386,19 +466,29 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
                               sbr: Optional[SbrConfig] = None,
                               amplitude: AmplitudeMode = "phase_only",
                               ) -> MeasurementSet:
-    """Multipath radiation data T[rx, k] for a set of dipole sources."""
+    """Multipath radiation data T[rx, k] for a set of dipole sources.
+
+    The images engine evaluates its path table once per block of up to
+    _CHUNK sources that share one orientation; the SBR engine launches once
+    per source (source i seeded `sbr.rng_seed + i`), so its blocks hold one
+    source each, through the same code. The samples differ from the sum of
+    the sources' one-source runs by rounding alone, at most 2e-13 of the
+    peak sample: a block's lengths come from one BLAS product over its
+    points instead of one per point, and its sources are summed by one.
+    One-source blocks of unit amplitude add their source's samples bit for
+    bit, so SBR data of such sources equal the per-source sum.
+    """
     if not sources:
         raise EmptyInput("no sources")
     rx = arrays.rx_positions
     _check_sample_count(1, rx.shape[0], sweep.count)
-    kvals = sweep.k_values
-    samples = np.zeros((1, rx.shape[0], kvals.size), dtype=np.complex128)
     tables = _path_tables(scene, [rx], arrays.copol, max_order, path_engine,
                           sbr)
-    for i, src in enumerate(sources):
-        (table,) = tables(src.position, i)
-        samples[0] += src.amplitude * _leg_spectrum(
-            table, src.position, src.orientation, kvals, amplitude)
+    samples = _synthesize(
+        np.array([src.position for src in sources]),
+        np.array([src.orientation for src in sources]),
+        np.array([src.amplitude for src in sources]), tables,
+        (1, rx.shape[0]), sweep.k_values, amplitude, path_engine)
     return MeasurementSet(tx_positions=np.zeros((1, 3)), rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="radiation")
@@ -415,7 +505,11 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
 
     Each target contributes reflectivity * (sum over tx legs) * (sum over rx
     legs); the product expands into every (tx leg, rx leg) wavefront pair with
-    the polarization-sign product carried by the per-leg weights.
+    the polarization-sign product carried by the per-leg weights. Targets
+    run in blocks as the sources of `synthesize_radiation_data` do, within
+    the same 2e-13 of the per-target sum; a one-target block forms its tx x
+    rx product by BLAS, so the SBR engine's data differ from the per-target
+    sum by a few ulps.
     """
     if not targets:
         raise EmptyInput("no targets")
@@ -424,16 +518,13 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     if tx.shape[0] == 0 or rx.shape[0] == 0:
         raise EmptyInput("empty antenna array")
     _check_sample_count(tx.shape[0], rx.shape[0], sweep.count)
-    kvals = sweep.k_values
-    samples = np.zeros((tx.shape[0], rx.shape[0], kvals.size),
-                       dtype=np.complex128)
     tables = _path_tables(scene, [tx, rx], arrays.copol, max_order,
                           path_engine, sbr)
-    for i, tgt in enumerate(targets):
-        at, ar = (_leg_spectrum(table, tgt.position, arrays.copol, kvals,
-                                amplitude)
-                  for table in tables(tgt.position, i))
-        samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
+    samples = _synthesize(
+        np.array([tgt.position for tgt in targets]),
+        np.tile(arrays.copol, (len(targets), 1)),
+        np.array([tgt.reflectivity for tgt in targets]), tables,
+        (tx.shape[0], rx.shape[0]), sweep.k_values, amplitude, path_engine)
     return MeasurementSet(tx_positions=tx, rx_positions=rx,
                           copol=arrays.copol, sweep=sweep, samples=samples,
                           mode="scattering")

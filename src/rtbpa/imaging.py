@@ -18,13 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyImage, EmptyInput, UnresolvedLobe
-from .fields import (_CIS_BLOCK, AntennaArray, FrequencySweep,
+from .fields import (_CHUNK, _CIS_BLOCK, AntennaArray, FrequencySweep,
                      MeasurementSet, PointScatterer, _path_tables, _phasors,
                      _weighted_legs, synthesize_scattering_data)
 from .geometry import Scene, as_vec3, unit
 from .propagation import ImagePathTable, SbrConfig, _check_order
 
-_CHUNK = 128  # voxels per task at most; fixed, so no bit depends on workers
 _DOT_COLS = 8192  # columns per BLAS dot at most: OpenBLAS threads above 10k
 # Largest grid: its complex values alone take 16 bytes a voxel (256 MiB here),
 # and every voxel costs a path-table evaluation.

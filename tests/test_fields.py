@@ -651,6 +651,259 @@ class TestSynthesizeScattering:
         assert not valid_masks(table, centers)[()].any()
 
 
+WALL = Facet.plane(2, (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def _oracle_spectrum(table, point, orientation, kvals, amplitude):
+    """One emitter's (A, K) leg spectrum, sum of w exp(-j k L), the way the
+    per-emitter synthesis summed it before forward blocks."""
+    acc = np.zeros((kvals.size, table.antennas.shape[0]), dtype=complex)
+    for lengths, coeff in fields._weighted_legs(table, point[None, :],
+                                                amplitude, orientation):
+        if np.any(coeff):
+            for i, p in enumerate(fields._phasors(kvals, lengths[0],
+                                                  coeff[0])):
+                acc[i] += p
+    return acc.T.conj()
+
+
+def oracle_radiation(sources, arrays, scene, sweep, max_order=1,
+                     path_engine="images", sbr=None, amplitude="phase_only"):
+    """Radiation samples summed one source at a time: a test-only oracle."""
+    kvals = sweep.k_values
+    rx = arrays.rx_positions
+    samples = np.zeros((1, rx.shape[0], kvals.size), dtype=complex)
+    tables = fields._path_tables(scene, [rx], arrays.copol, max_order,
+                                 path_engine, sbr)
+    for i, src in enumerate(sources):
+        (table,) = tables(src.position, i)
+        samples[0] += src.amplitude * _oracle_spectrum(
+            table, src.position, src.orientation, kvals, amplitude)
+    return samples
+
+
+def oracle_scattering(targets, arrays, scene, sweep, max_order=1,
+                      path_engine="images", sbr=None, amplitude="phase_only"):
+    """Born samples summed one target at a time: a test-only oracle."""
+    kvals = sweep.k_values
+    tx, rx = arrays.tx_positions, arrays.rx_positions
+    samples = np.zeros((tx.shape[0], rx.shape[0], kvals.size), dtype=complex)
+    tables = fields._path_tables(scene, [tx, rx], arrays.copol, max_order,
+                                 path_engine, sbr)
+    for i, tgt in enumerate(targets):
+        at, ar = (_oracle_spectrum(table, tgt.position, arrays.copol, kvals,
+                                   amplitude)
+                  for table in tables(tgt.position, i))
+        samples += tgt.reflectivity * at[:, None, :] * ar[None, :, :]
+    return samples
+
+
+def mixed_sources(n, seed, unit=False):
+    """n sources over the ground and a wall; about three in four share one
+    orientation, the rest another, so a group of 128 or more splits."""
+    rng = np.random.default_rng(seed)
+    oris = [np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.0, 0.8])]
+    return [DipoleSource(rng.uniform([-0.4, -0.3, 0.4], [0.4, 0.3, 0.9]),
+                         oris[i % 4 == 3],
+                         1.0 if unit else rng.uniform(0.5, 1.5)
+                         * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            for i in range(n)]
+
+
+def within(got, want, bound=2e-13):
+    return np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+class TestBlockForward:
+    """Forward synthesis per block of emitters against the per-emitter sum
+    it replaced, kept above as a test-only oracle."""
+
+    def test_blocks_split_by_orientation_and_size(self):
+        sources = mixed_sources(300, 1)
+        oris = np.array([s.orientation for s in sources])
+        blocks = fields._blocks(oris, fields._CHUNK)
+        assert [b.size for b in blocks] == [128, 75, 97]
+        assert [int(b[0]) for b in blocks] == [0, 3, 170]
+        for b in blocks:
+            assert np.all(oris[b] == oris[b[0]])
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(300))
+        ones = fields._blocks(oris, 1)
+        assert [int(b[0]) for b in ones] == list(range(300))
+
+    @pytest.mark.parametrize("amplitude", ["phase_only", "far_field"])
+    @pytest.mark.parametrize("walls, order", [(1, 1), (2, 2)])
+    def test_radiation_matches_per_emitter_sum(self, amplitude, walls, order,
+                                               monkeypatch):
+        # Ground alone holds two leg classes, so a row block's product
+        # spans more than _GEMV_ENTRIES entries and runs in column pieces.
+        arrays = small_arrays(n_rx=200)
+        sc = Scene([GROUND, WALL][:walls])
+        sources = mixed_sources(300, 2)
+        calls = []
+        table_eval = ImagePathTable.eval
+
+        def counted(table, points, *args, **kwargs):
+            calls.append(len(np.reshape(points, (-1, 3))))
+            return table_eval(table, points, *args, **kwargs)
+
+        want = oracle_radiation(sources, arrays, sc, SWEEP, max_order=order,
+                                amplitude=amplitude)
+        monkeypatch.setattr(ImagePathTable, "eval", counted)
+        got = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                        max_order=order, amplitude=amplitude)
+        assert calls == [128, 75, 97]  # one eval per block
+        assert np.abs(want).max() > 0
+        assert within(got.samples, want)
+
+    def test_scattering_matches_per_target_sum(self):
+        arrays = scattering_arrays()
+        assert arrays.tx_positions.shape[0] >= 2
+        sc = Scene([GROUND, WALL])
+        rng = np.random.default_rng(3)
+        targets = [PointScatterer(rng.uniform([-0.4, -0.3, 0.4],
+                                              [0.4, 0.3, 0.9]),
+                                  rng.uniform(0.5, 1.5)
+                                  * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+                   for _ in range(150)]
+        for amplitude in ("phase_only", "far_field"):
+            want = oracle_scattering(targets, arrays, sc, SWEEP, max_order=2,
+                                     amplitude=amplitude)
+            got = synthesize_scattering_data(targets, arrays, sc, SWEEP,
+                                             max_order=2, amplitude=amplitude)
+            assert np.abs(want).max() > 0
+            assert within(got.samples, want)
+
+    def test_split_set_is_the_sum_of_its_halves(self):
+        arrays = small_arrays(n_rx=200)
+        sc = Scene([GROUND, WALL])
+        sources = mixed_sources(300, 4)
+        whole = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                          max_order=2).samples
+        halves = sum(synthesize_radiation_data(part, arrays, sc, SWEEP,
+                                               max_order=2).samples
+                     for part in (sources[:131], sources[131:]))
+        assert within(halves, whole)
+        targets = [PointScatterer(s.position, s.amplitude)
+                   for s in sources[:160]]
+        arrays = scattering_arrays()
+        whole = synthesize_scattering_data(targets, arrays, sc, SWEEP,
+                                           max_order=2).samples
+        halves = sum(synthesize_scattering_data(part, arrays, sc, SWEEP,
+                                                max_order=2).samples
+                     for part in (targets[:70], targets[70:]))
+        assert within(halves, whole)
+
+    def test_sbr_matches_per_emitter_sum_bit_for_bit(self):
+        # SBR blocks hold one emitter each (launch i seeded rng_seed + i),
+        # in input order: with unit amplitudes their classes are summed and
+        # weighted exactly as the per-emitter sum does.
+        from rtbpa.propagation import SbrConfig
+        arrays = small_arrays(n_rx=40)
+        sc = Scene([GROUND, WALL])
+        cfg = SbrConfig(ray_count=5000, max_bounces=2, rng_seed=9)
+        sources = mixed_sources(7, 5, unit=True)
+        want = oracle_radiation(sources, arrays, sc, SWEEP, max_order=2,
+                                path_engine="sbr", sbr=cfg)
+        got = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                        max_order=2, path_engine="sbr",
+                                        sbr=cfg)
+        assert np.abs(want).max() > 0
+        assert got.samples.tobytes() == want.tobytes()
+        # Complex weights and the tx x rx product round in BLAS instead:
+        # a few ulps of the peak.
+        sources = mixed_sources(7, 5)
+        want = oracle_radiation(sources, arrays, sc, SWEEP, max_order=2,
+                                path_engine="sbr", sbr=cfg)
+        got = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                        max_order=2, path_engine="sbr",
+                                        sbr=cfg)
+        assert within(got.samples, want, 1e-15)
+        targets = [PointScatterer(s.position, s.amplitude) for s in sources]
+        want = oracle_scattering(targets, scattering_arrays(), sc, SWEEP,
+                                 max_order=2, path_engine="sbr", sbr=cfg)
+        got = synthesize_scattering_data(targets, scattering_arrays(), sc,
+                                         SWEEP, max_order=2,
+                                         path_engine="sbr", sbr=cfg)
+        assert within(got.samples, want, 1e-15)
+
+    def test_no_block_sized_spectrum_is_held(self):
+        # A (K, N, A) spectrum of one 128-emitter block would take 2.8 GB
+        # here; the block forward's peak stays near the samples' own size.
+        import tracemalloc
+
+        from rtbpa.scenes import scenario_hidden_dipole
+        s = scenario_hidden_dipole()
+        assert s.arrays.rx_positions.shape[0] == 1360
+        sweep = FrequencySweep(18e9, 19e9, 1e6)
+        assert sweep.count == 1001
+        src = s.sources[0]
+        rng = np.random.default_rng(6)
+        many = [DipoleSource(src.position + rng.uniform(-0.05, 0.05, 3),
+                             src.orientation)
+                for _ in range(300)]
+        peaks = []
+        for sources in ([src], many):
+            tracemalloc.start()
+            try:
+                data = synthesize_radiation_data(sources, s.arrays, s.scene,
+                                                 sweep, max_order=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.abs(data.samples).max() > 0
+        assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_blas_thread_count_changes_no_bit(self):
+        # The block's products run in OpenBLAS: one tx row's stay below the
+        # size it splits between threads, 32 tx rows' may be split. The
+        # thread count is read when numpy loads, so each count runs in its
+        # own interpreter.
+        import os
+        import subprocess
+        import sys
+
+        import rtbpa
+        code = (
+            "import hashlib\n"
+            "import sys\n"
+            "import numpy as np\n"
+            "from rtbpa.fields import (AntennaArray, FrequencySweep,\n"
+            "                          PointScatterer, DipoleSource,\n"
+            "                          synthesize_radiation_data,\n"
+            "                          synthesize_scattering_data)\n"
+            "from rtbpa.geometry import Facet, Scene\n"
+            "rng = np.random.default_rng(54)\n"
+            "sweep = FrequencySweep(18e9, 20e9, 100e6)\n"
+            "sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1))])\n"
+            "arrays = AntennaArray(\n"
+            "    rng.uniform([-0.6, 1.0, 0.2], [0.6, 1.0, 1.2], (32, 3)),\n"
+            "    rng.uniform([-0.6, 1.0, 0.2], [0.6, 1.0, 1.2], (1360, 3)),\n"
+            "    (1, 0, 0))\n"
+            "pts = rng.uniform([-0.3, -0.3, 0.4], [0.3, 0.3, 0.9], (40, 3))\n"
+            "w = np.exp(1j * rng.uniform(0, 6, 40))\n"
+            "rad = synthesize_radiation_data(\n"
+            "    [DipoleSource(p, (1, 0, 0), a) for p, a in zip(pts, w)],\n"
+            "    arrays, sc, sweep)\n"
+            "sca = synthesize_scattering_data(\n"
+            "    [PointScatterer(p, a) for p, a in zip(pts, w)],\n"
+            "    arrays, sc, sweep)\n"
+            "sys.stdout.write(hashlib.sha256(rad.samples.tobytes()\n"
+            "                                + sca.samples.tobytes())\n"
+            "                 .hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            rtbpa.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            outs.append(run.stdout)
+        assert len(outs[0]) == 64
+        assert outs[0] == outs[1]
+
+
 class TestMeasurementSet:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -666,6 +919,27 @@ class TestMeasurementSet:
             MeasurementSet(tx_positions=np.zeros((1, 3)),
                            rx_positions=np.zeros((2, 3)), copol=(1, 0, 0),
                            sweep=SWEEP, samples=bad, mode="radiation")
+
+    def test_non_contiguous_samples_accepted(self):
+        # A transposed view cannot be viewed as floats; its finiteness is
+        # checked on the complex values themselves.
+        sweep = FrequencySweep(18e9, 18.3e9, 100e6)
+        view = np.ones((1, sweep.count, 3), complex).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        ms = MeasurementSet(tx_positions=np.zeros((1, 3)),
+                            rx_positions=np.zeros((3, 3)), copol=(1, 0, 0),
+                            sweep=sweep, samples=view, mode="radiation")
+        assert np.array_equal(ms.samples, view)
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.nan),
+                    complex(np.inf, 1.0), complex(1.0, -np.inf)):
+            samples = np.ones((1, sweep.count, 3), complex)
+            samples[0, 1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MeasurementSet(tx_positions=np.zeros((1, 3)),
+                               rx_positions=np.zeros((3, 3)),
+                               copol=(1, 0, 0), sweep=sweep,
+                               samples=samples.transpose(0, 2, 1),
+                               mode="radiation")
 
 
 class TestAddNoise:
