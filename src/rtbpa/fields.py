@@ -34,11 +34,6 @@ MAX_SAMPLES = 1 << 26
 # Points per forward block and per reconstruction chunk at most: fixed, so
 # no bit depends on the worker count.
 _CHUNK = 128
-# Most entries a forward block's BLAS product of one tx row reads at once:
-# OpenBLAS splits a complex matrix-vector product of 4096 or more between
-# its threads, and a product waiting on a descheduled thread can stall for
-# hundreds of ms, far longer than the product itself takes.
-_GEMV_ENTRIES = 4095
 
 
 def _check_sample_count(n_tx: int, n_rx: int, n_k: int) -> None:
@@ -405,8 +400,7 @@ def _spectra(kvals: np.ndarray, side, rows: slice, n_ant: int):
     (rows, n_ant): the phasors of its classes summed in table order."""
     lengths, w = side
     for p in _phasors(kvals, lengths[rows], w[rows]):
-        yield (p if p.shape[1] == n_ant else
-               p.reshape(p.shape[0], -1, n_ant).sum(axis=1))
+        yield p.reshape(p.shape[0], -1, n_ant).sum(axis=1)
 
 
 def _synthesize(points: np.ndarray, orientations: np.ndarray,
@@ -427,11 +421,10 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
     elements, all K steps of one before the next, so that its phasors stay
     in L2. At each k the classes of a side are summed per emitter, and the
     emitters are then contracted by BLAS products, (conj(weights) T)^T R,
-    into a (K, n_tx, n_rx) accumulator, in pieces of at most
-    _GEMV_ENTRIES // rows rx columns, so that no product of one tx row is
-    split between threads. No (K, N, A) array is built. A one-emitter block
-    sums its classes as a per-emitter sum does, and its product with a unit
-    weight is exact, so it adds that emitter's radiation data bit for bit.
+    into a (K, n_tx, n_rx) accumulator. No (K, N, A) array is built. A
+    one-emitter block sums its classes as a per-emitter sum does, and its
+    product with a unit weight is exact, so it adds that emitter's
+    radiation data bit for bit.
     """
     acc = np.zeros((kvals.size,) + tuple(n_ant), dtype=np.complex128)
     block = 1 if path_engine == "sbr" else _CHUNK
@@ -449,13 +442,9 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
                        for side, n in zip(sides, n_ant[-len(sides):])]
             if len(spectra) == 1:  # radiation data: T = 1
                 spectra.insert(0, repeat(np.ones((1, 1))))
-            cols = max(1, _GEMV_ENTRIES // len(w_conj[rows]))
             for i, (t, r) in enumerate(zip(*spectra)):
-                wt = (w_conj[rows, None] * t).T
-                for lo_c in range(0, r.shape[1], cols):
-                    part = slice(lo_c, lo_c + cols)
-                    prod = wt @ r[:, part]
-                    acc[i, :, part] += np.conj(prod, out=prod)
+                prod = (w_conj[rows, None] * t).T @ r
+                acc[i] += np.conj(prod, out=prod)
     return np.ascontiguousarray(acc.transpose(1, 2, 0))
 
 

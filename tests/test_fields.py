@@ -734,8 +734,8 @@ class TestBlockForward:
     @pytest.mark.parametrize("walls, order", [(1, 1), (2, 2)])
     def test_radiation_matches_per_emitter_sum(self, amplitude, walls, order,
                                                monkeypatch):
-        # Ground alone holds two leg classes, so a row block's product
-        # spans more than _GEMV_ENTRIES entries and runs in column pieces.
+        # Ground alone holds two leg classes, summed per emitter before
+        # the emitters are contracted.
         arrays = small_arrays(n_rx=200)
         sc = Scene([GROUND, WALL][:walls])
         sources = mixed_sources(300, 2)
@@ -854,8 +854,8 @@ class TestBlockForward:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_blas_thread_count_changes_no_bit(self):
-        # The block's products run in OpenBLAS: one tx row's stay below the
-        # size it splits between threads, 32 tx rows' may be split. The
+        # The block's products run in OpenBLAS, which splits the larger
+        # ones (32 tx rows by 1360 rx here) between its threads. The
         # thread count is read when numpy loads, so each count runs in its
         # own interpreter.
         import os
