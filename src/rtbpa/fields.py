@@ -28,8 +28,9 @@ C0 = 299792458.0  # m/s
 AmplitudeMode = Literal["phase_only", "far_field"]
 
 # Largest sample tensor n_tx * n_rx * n_k, and so also the largest sweep:
-# 1 GiB of complex128 samples, of which forward synthesis holds about three
-# at once. Checked from the sizes before any array is built.
+# 1 GiB of complex128 samples, of which forward synthesis holds one (its
+# accumulator, returned as a view). Checked from the sizes before any array
+# is built.
 MAX_SAMPLES = 1 << 26
 # Points per forward block and per reconstruction chunk at most: fixed, so
 # no bit depends on the worker count.
@@ -302,15 +303,23 @@ def _leg_coefficients(order: int, amp: np.ndarray, tnorm: np.ndarray,
     `far_field` keeps every valid leg: its weight amp / L is continuous in
     the co-pol projection. `phase_only` keeps every zero-bounce leg, but
     drops a bounced leg whose normalized co-pol projection falls below the
-    cross-pol threshold, where the sign of its +-1 weight is not reliable.
+    cross-pol threshold, where the sign of its +-1 weight is not reliable:
+    a kept leg weighs +1 where amp >= 0 (-0.0 included) and -1 elsewhere, a
+    dropped one +0.0.
+
+    `phase_only` consumes `amp` and `tnorm` when order > 0: it takes |amp|
+    and the threshold product in place on them, so that its result is the
+    one float array it allocates. `valid` and `lengths` are never written.
     """
     if amplitude == "phase_only":
+        coeff = np.where(amp >= 0.0, 1.0, -1.0)
         keep = valid
         if order > 0:
-            keep = valid & (tnorm > 1e-12) & (
-                np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
-        sign = np.where(amp >= 0.0, 1.0, -1.0)
-        return np.where(keep, sign, 0.0)
+            keep = valid & (tnorm > 1e-12)
+            tnorm *= CROSS_POL_THRESHOLD
+            keep &= np.abs(amp, out=amp) >= tnorm
+        np.copyto(coeff, 0.0, where=~keep)
+        return coeff
     if amplitude == "far_field":
         with np.errstate(divide="ignore", invalid="ignore"):
             w = amp / np.where(lengths == 0.0, 1.0, lengths)
@@ -359,12 +368,14 @@ def _weighted_legs(table: ImagePathTable, points: np.ndarray,
                    amplitude: AmplitudeMode, orientation=None) -> list:
     """(lengths, coeff) per sequence of `table` with a valid leg in a point
     block, each (V, A): zero on the antenna columns eval dropped, which
-    hold no valid leg."""
+    hold no valid leg. Eval's amp, tnorm and valid are dropped as soon as
+    the weights exist."""
     out = []
     for seq, lengths, amp, tnorm, valid, cols in table.eval(
             points, orientation=orientation):
         coeff = _leg_coefficients(len(seq), amp, tnorm, valid, lengths,
                                   amplitude)
+        del amp, tnorm, valid
         if cols.size < table.antennas.shape[0]:
             full = np.zeros((2, lengths.shape[0], table.antennas.shape[0]))
             full[0][:, cols], full[1][:, cols] = lengths, coeff
@@ -421,7 +432,8 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
     elements, all K steps of one before the next, so that its phasors stay
     in L2. At each k the classes of a side are summed per emitter, and the
     emitters are then contracted by BLAS products, (conj(weights) T)^T R,
-    into a (K, n_tx, n_rx) accumulator. No (K, N, A) array is built. A
+    into a (K, n_tx, n_rx) accumulator, which is returned as a transposed
+    view, not copied. No (K, N, A) array is built. A
     one-emitter block sums its classes as a per-emitter sum does, and its
     product with a unit weight is exact, so it adds that emitter's
     radiation data bit for bit.
@@ -445,7 +457,7 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
             for i, (t, r) in enumerate(zip(*spectra)):
                 prod = (w_conj[rows, None] * t).T @ r
                 acc[i] += np.conj(prod, out=prod)
-    return np.ascontiguousarray(acc.transpose(1, 2, 0))
+    return acc.transpose(1, 2, 0)  # a view: one sample tensor is held
 
 
 def synthesize_radiation_data(sources: Sequence[DipoleSource],

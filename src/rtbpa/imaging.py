@@ -152,31 +152,34 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
     threads a dot only above 10,000 elements, so no BLAS thread count can
     change a bit. A piece runs in row blocks of about _CIS_BLOCK elements,
     all K steps of one block before the next, so that its phasor, the step
-    phasor and the _cis temporaries stay in L2. An rx block of R rows costs
-    R A_rx n_tx per k and a tx block R A_tx, so the work is (C_rx V A_rx
-    n_tx + C_tx V A_tx) K for C classes per side. The row blocks change no
-    dot, so no bit of the result depends on their size; a dot's rounding
-    does depend on where each term sits in it, so a voxel's bits depend on
-    its chunk's live columns.
+    phasor and the _cis temporaries stay in L2. Each row block cuts the
+    dead columns from its own rows, so no class is copied whole. An rx
+    block of R rows costs R A_rx n_tx per k and a tx block R A_tx, so the
+    work is (C_rx V A_rx n_tx + C_tx V A_tx) K for C classes per side. The
+    row blocks change no dot, so no bit of the result depends on their
+    size; a dot's rounding does depend on where each term sits in it, so a
+    voxel's bits depend on its chunk's live columns.
     """
-    def live(legs):  # (lengths, w, cols) pieces of the nonzero columns
+    def live(legs):  # (lengths, w, cols) per piece of the nonzero columns
         out = []
         for L, w in legs:
             c = np.flatnonzero(np.any(w, axis=0))
-            if c.size == w.shape[1] <= _DOT_COLS:  # all live: no copy
+            if c.size == w.shape[1] <= _DOT_COLS:  # all live: no cut
                 out.append((L, w, slice(None)))
                 continue
-            for lo in range(0, c.size, _DOT_COLS):
-                piece = c[lo:lo + _DOT_COLS]  # np.take keeps C order
-                out.append((np.take(L, piece, axis=1),
-                            np.take(w, piece, axis=1), piece))
+            out.extend((L, w, c[lo:lo + _DOT_COLS])
+                       for lo in range(0, c.size, _DOT_COLS))
         return out
 
-    def blocks(lengths, w):  # (rows, k index, phasor) per row block
-        n_rows = max(1, _CIS_BLOCK // w.shape[1])
+    def blocks(lengths, w, cols):  # (rows, k index, phasor) per row block
+        whole = isinstance(cols, slice)
+        n_rows = max(1, _CIS_BLOCK // (w.shape[1] if whole else cols.size))
         for lo in range(0, n_v, n_rows):
             rows = slice(lo, lo + n_rows)
-            for i, p in enumerate(_phasors(kvals, lengths[rows], w[rows])):
+            L, wb = lengths[rows], w[rows]
+            if not whole:  # np.take keeps C order
+                L, wb = np.take(L, cols, axis=1), np.take(wb, cols, axis=1)
+            for i, p in enumerate(_phasors(kvals, L, wb)):
                 yield rows, i, p
 
     acc = np.zeros(n_v, dtype=np.complex128)
@@ -187,12 +190,12 @@ def _coherent_sum(t: np.ndarray, kvals: np.ndarray, tx_legs: Optional[Legs],
     uc = np.zeros((kvals.size, n_v, t.shape[0]), dtype=np.complex128)
     for lengths, w, cols in rx:
         s = conj_t if isinstance(cols, slice) else np.take(conj_t, cols, 2)
-        for rows, i, p in blocks(lengths, w):
+        for rows, i, p in blocks(lengths, w, cols):
             uc[i, rows] += np.vecdot(p[:, None, :], s[i])
     if tx is None:
         return np.conj(uc[:, :, 0].sum(axis=0))
     for lengths, w, cols in tx:
-        for rows, i, p in blocks(lengths, w):
+        for rows, i, p in blocks(lengths, w, cols):
             acc[rows] += np.vecdot(uc[i, rows][:, cols], p)
     return acc
 

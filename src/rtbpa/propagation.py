@@ -26,9 +26,9 @@ from .geometry import (EDGE_MARGIN, EPS_SELF, GRAZING_TOL, Scene,
 CROSS_POL_THRESHOLD = 1e-3
 # Sequence count grows as ~facets**order; deeper orders are refused.
 MAX_ORDER = 5
-# Most (sequence, antenna) pairs one path table holds: every table eval keeps a
-# (V, A) lengths and weight array per sequence for a 128-voxel chunk, about
-# 2 KiB a pair, so 2^19 pairs stay near 1 GiB.
+# Most (sequence, antenna) pairs one path table holds: a 128-voxel chunk keeps
+# a (V, A) lengths and weight array per sequence, 2 KiB a pair, plus the
+# working set of the one sequence in flight, so 2^19 pairs stay near 1 GiB.
 MAX_TABLE_LEGS = 1 << 19
 # Largest SBR launch: each ray holds ~100-200 bytes of launch state (start,
 # direction, sequence, per-bounce copies), so 10^7 rays stay near 2 GB.
@@ -339,6 +339,29 @@ def _facet_hit(f, margin: float, t: np.ndarray, t_lo, t_hi,
     return hit
 
 
+def _transport(lengths: np.ndarray, i_ori: np.ndarray, p_ori: np.ndarray,
+               i_w: np.ndarray, p_w: np.ndarray, ori_w: float):
+    """(amp, tnorm) of `ImagePathTable.eval` on (V, A) legs: with safe the
+    lengths, 1 where not above 1e-9, os_dot = (i_ori - p_ori) / safe and
+    s_w = (i_w - p_w) / safe (image side per antenna, point side per
+    point), amp = ori_w - os_dot s_w and tnorm = sqrt(max(0, 1 - os_dot^2)).
+    Built in place in two (V, A) arrays, with the operands and order of
+    those expressions, so every bit is theirs."""
+    safe = np.where(lengths > 1e-9, lengths, 1.0)
+    os_dot = np.subtract(i_ori[None, :], p_ori[:, None])
+    os_dot /= safe
+    amp = np.subtract(i_w[None, :], p_w[:, None])  # s_w
+    amp /= safe
+    del safe
+    amp *= os_dot
+    np.subtract(ori_w, amp, out=amp)
+    tnorm = os_dot
+    np.square(tnorm, out=tnorm)
+    np.subtract(1.0, tnorm, out=tnorm)
+    np.sqrt(np.maximum(0.0, tnorm, out=tnorm), out=tnorm)
+    return amp, tnorm
+
+
 def _walk_tests(legs, p_box, i_side, l_min: float, block=None):
     """Yield (dead, decided, t_box) per facet test of one sequence, in
     `ImagePathTable.eval`'s order, from `_crossing_box` on the images' side
@@ -550,6 +573,10 @@ class ImagePathTable:
         some kept column leaves undecided run on their arrays; those alone
         decide the mask, so it is the one the dense test gives. A sequence
         whose mask ends empty is not yielded either.
+
+        The yielded arrays are the caller's to work on in place: eval keeps
+        no reference to amp and tnorm, and drops lengths and valid when it
+        resumes.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not (points.size and self.antennas.size):
@@ -588,7 +615,11 @@ class ImagePathTable:
             # round a column of a narrower product differently (gemm's edge
             # kernels, gemv for one row or column).
             tt, iv = cut(tt), cut(iv)
-            lengths = pp[:, None] - 2.0 * cut(points @ target0.T) + tt[None, :]
+            # pp - 2 p.I0 + |I0|^2 in place, in that order.
+            lengths = cut(points @ target0.T)
+            lengths *= 2.0
+            np.subtract(pp[:, None], lengths, out=lengths)
+            lengths += tt[None, :]
             np.sqrt(np.maximum(lengths, 0.0, out=lengths), out=lengths)
             valid = lengths > 1e-9
             crossings = {}  # test row -> t on every kept leg
@@ -626,16 +657,15 @@ class ImagePathTable:
                             # next bounce facet, beyond the current one.
                             end = r
                     start = end
+            crossings.clear()
             if not valid.any():
                 continue
-            safe = np.where(lengths > 1e-9, lengths, 1.0)
-            os_dot = (cut(target0 @ ori)[None, :] - p_ori[:, None]) / safe
             w = entry["w"]
-            s_w = (cut(target0 @ w)[None, :] - (points @ w)[:, None]) / safe
-            amp = float(ori @ w) - os_dot * s_w
-            tnorm = np.sqrt(np.maximum(0.0, 1.0 - os_dot ** 2))
-            yield (entry["seq"], lengths, amp, tnorm, valid,
-                   every if kept is None else kept)
+            yield (entry["seq"], lengths,
+                   *_transport(lengths, cut(target0 @ ori), p_ori,
+                               cut(target0 @ w), points @ w, float(ori @ w)),
+                   valid, every if kept is None else kept)
+            del lengths, valid  # not held while the next ones are built
 
     def eval_reference(self, points: np.ndarray, orientation=None):
         """Straightforward per-sequence walk kept as an oracle for eval():

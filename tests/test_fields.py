@@ -11,7 +11,7 @@ from rtbpa.fields import (MAX_SAMPLES, AntennaArray, DipoleSource,
                           synthesize_radiation_data,
                           synthesize_scattering_data)
 from rtbpa.geometry import Facet, Scene
-from rtbpa.propagation import ImagePathTable
+from rtbpa.propagation import CROSS_POL_THRESHOLD, ImagePathTable
 
 C0 = 299792458.0
 K = 2 * np.pi * 19e9 / C0
@@ -853,6 +853,46 @@ class TestBlockForward:
             assert np.abs(data.samples).max() > 0
         assert peaks[1] < 2 * peaks[0], peaks
 
+    def test_forward_holds_one_sample_tensor(self, tmp_path):
+        # The (K, n_tx, n_rx) accumulator is returned as a transposed view,
+        # so the forward never holds a second, C-ordered copy of it; the
+        # container and the image read the view as they read a copy.
+        import tracemalloc
+
+        from rtbpa import io as rio
+        from rtbpa.imaging import ImageGrid, ReconstructionConfig, rt_bpa
+        from rtbpa.scenes import scenario_hidden_dipole
+        s = scenario_hidden_dipole()
+        sweep = FrequencySweep(18e9, 19e9, 1e6)
+        tracemalloc.start()
+        try:
+            view = synthesize_radiation_data(s.sources[:1], s.arrays,
+                                             s.scene, sweep, max_order=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert view.samples.shape == (1, 1360, 1001)
+        assert not view.samples.flags.c_contiguous
+        assert peak <= 1.25 * view.samples.nbytes, peak
+        copy = MeasurementSet(view.tx_positions, view.rx_positions,
+                              view.copol, sweep,
+                              np.ascontiguousarray(view.samples),
+                              view.mode)
+        for name, data in (("view", view), ("copy", copy)):
+            rio.write_measurements(tmp_path / name, data)
+        assert (tmp_path / "view").read_bytes() == \
+            (tmp_path / "copy").read_bytes()
+        back = rio.read_measurements(tmp_path / "view").samples
+        assert np.array_equal(back, copy.samples.astype(np.complex64))
+        g = s.grid
+        grid = ImageGrid(origin=g.voxel_center(62, 62), axes=g.axes,
+                         spacing=g.spacing, dims=(4, 4, 1))
+        cfg = ReconstructionConfig(max_order=1)
+        images = [rt_bpa(data, grid, s.scene, cfg).values
+                  for data in (view, copy)]
+        assert np.abs(images[0]).max() > 0
+        assert images[0].tobytes() == images[1].tobytes()
+
     def test_blas_thread_count_changes_no_bit(self):
         # The block's products run in OpenBLAS, which splits the larger
         # ones (32 tx rows by 1360 rx here) between its threads. The
@@ -902,6 +942,87 @@ class TestBlockForward:
             outs.append(run.stdout)
         assert len(outs[0]) == 64
         assert outs[0] == outs[1]
+
+
+def oracle_coefficients(order, amp, tnorm, valid, lengths, amplitude):
+    """The leg weights as np.where formulas on fresh arrays, the form
+    `fields._leg_coefficients` had before it worked in place."""
+    if amplitude == "phase_only":
+        keep = valid
+        if order > 0:
+            keep = valid & (tnorm > 1e-12) & (
+                np.abs(amp) >= CROSS_POL_THRESHOLD * tnorm)
+        sign = np.where(amp >= 0.0, 1.0, -1.0)
+        return np.where(keep, sign, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = amp / np.where(lengths == 0.0, 1.0, lengths)
+    return np.where(valid, w, 0.0)
+
+
+class TestLegCoefficients:
+    """The in-place leg weights against the np.where oracle, bit for bit,
+    on the edge cases of the sign and of the cross-pol cut."""
+
+    @staticmethod
+    def cases():
+        """(amp, tnorm, valid, lengths), each (1, n): the edge cases in
+        the order test_sign_cut_and_zeros reads them, then random legs."""
+        thr = CROSS_POL_THRESHOLD * 0.5  # exactly the product at tnorm 0.5
+        below = np.nextafter(thr, 0.0)
+        edges = [  # (amp, tnorm, valid)
+            (0.0, 0.5, True), (-0.0, 0.5, True),  # 0, 1: signed zeros
+            (0.3, 1e-12, True), (-0.3, 1e-12, True),  # 2, 3: at 1e-12
+            (0.3, np.nextafter(1e-12, 0.0), True),  # 4: below it
+            (0.3, np.nextafter(1e-12, 1.0), True),  # 5: above it
+            (thr, 0.5, True), (-thr, 0.5, True),  # 6, 7: at the cut
+            (below, 0.5, True), (-below, 0.5, True),  # 8, 9: below it
+            (np.nan, 0.5, True), (np.nan, 0.0, True),  # 10, 11: NaN amp
+            (0.3, 0.5, False), (-0.3, 0.5, False),  # 12, 13: invalid
+        ]
+        rng = np.random.default_rng(60)
+        amp = np.concatenate([[e[0] for e in edges],
+                              rng.normal(scale=1e-3, size=200)])
+        tnorm = np.concatenate([[e[1] for e in edges],
+                                rng.uniform(0.0, 1.0, 200)])
+        valid = np.concatenate([[e[2] for e in edges],
+                                rng.random(200) > 0.3])
+        lengths = rng.uniform(0.5, 2.0, amp.size)
+        lengths[[1, 20]] = 0.0
+        return tuple(a.reshape(1, -1) for a in (amp, tnorm, valid, lengths))
+
+    @pytest.mark.parametrize("amplitude", ["phase_only", "far_field"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_the_where_formulas(self, order, amplitude):
+        amp, tnorm, valid, lengths = self.cases()
+        want = oracle_coefficients(order, amp.copy(), tnorm.copy(), valid,
+                                   lengths, amplitude)
+        given = [a.copy() for a in (amp, tnorm, valid, lengths)]
+        got = fields._leg_coefficients(order, *given[:3], given[3],
+                                       amplitude)
+        assert got.tobytes() == want.tobytes()
+        # valid and lengths are never written; amp and tnorm only when the
+        # phase_only cut runs (order > 0).
+        assert np.array_equal(given[2], valid)
+        assert given[3].tobytes() == lengths.tobytes()
+        if order == 0 or amplitude == "far_field":
+            assert given[0].tobytes() == amp.tobytes()
+            assert given[1].tobytes() == tnorm.tobytes()
+
+    def test_sign_cut_and_zeros(self):
+        amp, tnorm, valid, lengths = self.cases()
+        direct = fields._leg_coefficients(0, amp.copy(), tnorm.copy(), valid,
+                                          lengths, "phase_only")[0]
+        bounced = fields._leg_coefficients(1, amp.copy(), tnorm.copy(),
+                                           valid, lengths, "phase_only")[0]
+        assert list(direct[:2]) == [1.0, 1.0]  # +0.0 and -0.0 weigh +1
+        assert list(direct[12:14]) == [0.0, 0.0]
+        assert list(bounced[:2]) == [0.0, 0.0]  # below the cut
+        assert list(bounced[2:6]) == [0.0, 0.0, 0.0, 1.0]
+        assert list(bounced[6:10]) == [1.0, -1.0, 0.0, 0.0]
+        assert list(bounced[10:14]) == [0.0, 0.0, 0.0, 0.0]
+        for w in (direct, bounced):
+            dropped = w == 0.0
+            assert not np.signbit(w[dropped]).any()  # +0.0, never -0.0
 
 
 class TestMeasurementSet:

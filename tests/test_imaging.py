@@ -900,6 +900,41 @@ class TestCoherentSum:
         assert got.shape == (3,) and np.all(got == 0)
 
 
+class TestChunkWorkingSet:
+    def test_chunk_peak_is_bounded_by_its_legs(self):
+        # eval builds its arrays in place and hands them over, the leg
+        # weights take |amp| and the cut on them, and the sum cuts dead
+        # columns per row block, so a chunk's peak stays within a small
+        # multiple of the legs it keeps (it was 4.2x on this chunk).
+        import tracemalloc
+
+        from rtbpa import imaging
+        from rtbpa.fields import _weighted_legs
+        sc = get_scenario("tum_logo")
+        data = synthesize_radiation_data(sc.sources, sc.arrays, sc.scene,
+                                         sc.sweep, max_order=2)
+        points = sc.grid.centers_block(0, sc.grid.n_voxels)
+        job = imaging._build_job(data, points, sc.scene,
+                                 ReconstructionConfig(max_order=2))
+        chunk = _chunks(sc.grid.dims)[11]  # voxels i 0-15, j 88-95
+        assert chunk.size == _CHUNK and data.n_rx == 1360
+        imaging._set_job(job)
+        try:
+            imaging._compute_chunk(chunk)  # fills the tables' caches
+            tracemalloc.start()
+            try:
+                imaging._compute_chunk(chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            imaging._set_job(None)
+        legs = _weighted_legs(job.rx_table, points[chunk], "phase_only")
+        assert legs
+        legs_bytes = sum(L.nbytes + w.nbytes for L, w in legs)
+        assert peak <= 2.5 * legs_bytes, (peak, legs_bytes)
+
+
 class TestHeapReuse:
     def test_second_run_faults_in_no_fresh_pages(self):
         # glibc would hand a chunk's freed arrays back to the system and
