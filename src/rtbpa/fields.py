@@ -13,7 +13,6 @@ the SBR engine launches once per emitter, so its blocks hold one emitter.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
@@ -233,7 +232,8 @@ def _phasors(kvals: np.ndarray, lengths: np.ndarray, w: np.ndarray):
     of every entry at k[0] and at the span's step (k[-1] - k[0]) / (K - 1),
     whose rounding does not grow with K, then one multiply per k by the step
     phasor. The one leg-phase formula: back-projection uses these phasors
-    and forward synthesis their conjugate (real w)."""
+    and forward synthesis their conjugate, for real w: the leg weights
+    before `_synthesize` folds the emitter amplitudes into them."""
     p = _cis(kvals[0] * lengths)
     p *= w
     step = (_cis((kvals[-1] - kvals[0]) / (kvals.size - 1) * lengths)
@@ -397,21 +397,38 @@ def _blocks(orientations: np.ndarray, size: int) -> List[np.ndarray]:
 
 def _block_legs(table: ImagePathTable, points: np.ndarray, orientation,
                 amplitude: AmplitudeMode):
-    """(lengths, w), each (N, C * A), of the C leg classes with a nonzero
-    weight in a point block, side by side in table order; None if none."""
-    legs = [(L, w) for L, w in _weighted_legs(table, points, amplitude,
-                                              orientation) if np.any(w)]
-    if not legs:
+    """(lengths, w, classes) of a point block: the columns of its leg
+    classes that hold a nonzero weight at some point, side by side in table
+    order, each (N, live); `classes` holds each class's (slice of those
+    columns, its antennas: a slice if they run without a gap, else an
+    index array). None if no column is live."""
+    lengths, w, classes, lo = [], [], [], 0
+    for L, c in _weighted_legs(table, points, amplitude, orientation):
+        cols = np.flatnonzero(np.any(c, axis=0))
+        n = cols.size
+        if not n:
+            continue
+        if cols[-1] - cols[0] == n - 1:
+            cols = slice(int(cols[0]), int(cols[0]) + n)
+        lengths.append(L[:, cols])
+        w.append(c[:, cols])
+        classes.append((slice(lo, lo + n), cols))
+        lo += n
+    if not classes:
         return None
-    return np.hstack([L for L, _ in legs]), np.hstack([w for _, w in legs])
+    return np.hstack(lengths), np.hstack(w), classes
 
 
-def _spectra(kvals: np.ndarray, side, rows: slice, n_ant: int):
-    """Yield, for each k, a side's leg spectrum on the emitter rows `rows`,
-    (rows, n_ant): the phasors of its classes summed in table order."""
-    lengths, w = side
-    for p in _phasors(kvals, lengths[rows], w[rows]):
-        yield p.reshape(p.shape[0], -1, n_ant).sum(axis=1)
+def _to_antennas(x: np.ndarray, classes, n_ant: int) -> np.ndarray:
+    """The classes of x's stacked columns summed into n_ant antenna
+    columns, each added at its antennas into zeros in table order; x itself
+    when one class holds every antenna."""
+    if len(classes) == 1 and x.shape[-1] == n_ant:
+        return x
+    out = np.zeros(x.shape[:-1] + (n_ant,), dtype=np.complex128)
+    for sl, cols in classes:
+        out[..., cols] += x[..., sl]
+    return out
 
 
 def _synthesize(points: np.ndarray, orientations: np.ndarray,
@@ -421,22 +438,32 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
     """samples[tx, rx, k] = sum over emitters n of weights[n] *
     conj(T[n, tx, k] R[n, rx, k]), (n_tx, n_rx, K) for n_ant = (n_tx,
     n_rx), where a side's leg spectrum T or R sums w exp(+j k L) over its
-    leg classes: the conjugate of the back-projection's phasors.
-    `tables(points, launch)` gives a block's [tx, rx] path tables, or [rx]
-    alone for radiation data, whose one tx row has T = 1.
+    leg classes: for real leg weights w, the conjugate of the
+    back-projection's phasors. `tables(points, launch)` gives a block's
+    [tx, rx] path tables, or [rx] alone for radiation data, whose one tx
+    row has T = 1.
 
     A block (`_blocks`) holds up to _CHUNK emitters of one orientation, or
     one emitter under the SBR engine, which launches once per emitter. Each
-    runs one eval per table and one phasor recurrence per side over all its
-    emitters. The recurrence runs in row blocks of about _CIS_BLOCK
+    runs one eval per table and one phasor recurrence per side over the
+    columns that hold a nonzero weight in the block (`_block_legs`).
+    conj(weights) is folded into the first side's leg weights (rx for
+    radiation data, tx for Born data) once per block, so that a sum over
+    emitters is a plain sum: samples = conj(sum over n of T' R), with T'
+    the folded side. The recurrence runs in row blocks of about _CIS_BLOCK
     elements, all K steps of one before the next, so that its phasors stay
-    in L2. At each k the classes of a side are summed per emitter, and the
-    emitters are then contracted by BLAS products, (conj(weights) T)^T R,
+    in L2. At each k, radiation data reduce the phasors over their rows,
+    one sum per stacked column, and add each class's sums into a zeroed
+    n_rx row at its antennas in table order (`_to_antennas`). Born data
+    add each side's classes into a zeroed (rows, antennas) spectrum the
+    same way and contract the emitters by one BLAS product, T'^T R, or on
+    one row by their outer product. No class sum is made of a side that
+    is one class over every antenna. The conjugate of the result is added
     into a (K, n_tx, n_rx) accumulator, which is returned as a transposed
-    view, not copied. No (K, N, A) array is built. A
-    one-emitter block sums its classes as a per-emitter sum does, and its
-    product with a unit weight is exact, so it adds that emitter's
-    radiation data bit for bit.
+    view, not copied. No (K, N, A) array is built. A one-emitter block of
+    unit weight sums its classes as a per-emitter sum does, and its fold
+    and outer product are exact, so it adds that emitter's data bit for
+    bit.
     """
     acc = np.zeros((kvals.size,) + tuple(n_ant), dtype=np.complex128)
     block = 1 if path_engine == "sbr" else _CHUNK
@@ -446,17 +473,21 @@ def _synthesize(points: np.ndarray, orientations: np.ndarray,
                  for table in tables(points[idx], int(idx[0]))]
         if any(side is None for side in sides):
             continue  # a side without a leg: the block adds nothing
-        w_conj = np.conj(weights[idx])
+        lengths, w, classes = sides[0]  # the fold
+        sides[0] = lengths, w * np.conj(weights[idx])[:, None], classes
         n_rows = max(1, _CIS_BLOCK // max(s[0].shape[1] for s in sides))
         for lo in range(0, idx.size, n_rows):
             rows = slice(lo, lo + n_rows)
-            spectra = [_spectra(kvals, side, rows, n)
-                       for side, n in zip(sides, n_ant[-len(sides):])]
-            if len(spectra) == 1:  # radiation data: T = 1
-                spectra.insert(0, repeat(np.ones((1, 1))))
-            for i, (t, r) in enumerate(zip(*spectra)):
-                prod = (w_conj[rows, None] * t).T @ r
-                acc[i] += np.conj(prod, out=prod)
+            steps = [_phasors(kvals, L[rows], wb[rows]) for L, wb, _ in sides]
+            for i, ps in enumerate(zip(*steps)):
+                if len(ps) == 1:  # radiation data: rows reduced first
+                    out = _to_antennas(ps[0].sum(axis=0), sides[0][2],
+                                       n_ant[1])
+                else:
+                    t, r = (_to_antennas(p, s[2], n)
+                            for p, s, n in zip(ps, sides, n_ant))
+                    out = t.T * r if t.shape[0] == 1 else t.T @ r
+                acc[i] += np.conj(out, out=out)
     return acc.transpose(1, 2, 0)  # a view: one sample tensor is held
 
 
@@ -475,9 +506,10 @@ def synthesize_radiation_data(sources: Sequence[DipoleSource],
     source each, through the same code. The samples differ from the sum of
     the sources' one-source runs by rounding alone, at most 2e-13 of the
     peak sample: a block's lengths come from one BLAS product over its
-    points instead of one per point, and its sources are summed by one.
-    One-source blocks of unit amplitude add their source's samples bit for
-    bit, so SBR data of such sources equal the per-source sum.
+    points instead of one per point, and its sources are summed by one
+    reduction. One-source blocks of unit amplitude add their source's
+    samples bit for bit, so SBR data of such sources, and images-engine
+    data of sources of distinct orientations, equal the per-source sum.
     """
     if not sources:
         raise EmptyInput("no sources")
@@ -508,9 +540,10 @@ def synthesize_scattering_data(targets: Sequence[PointScatterer],
     legs); the product expands into every (tx leg, rx leg) wavefront pair with
     the polarization-sign product carried by the per-leg weights. Targets
     run in blocks as the sources of `synthesize_radiation_data` do, within
-    the same 2e-13 of the per-target sum; a one-target block forms its tx x
-    rx product by BLAS, so the SBR engine's data differ from the per-target
-    sum by a few ulps.
+    the same 2e-13 of the per-target sum. A one-target block forms its tx x
+    rx product elementwise, as the per-target sum does, so with unit
+    reflectivities it adds that sum's bits; a complex reflectivity, folded
+    into the tx leg weights, moves them by a few ulps.
     """
     if not targets:
         raise EmptyInput("no targets")

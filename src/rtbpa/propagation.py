@@ -104,6 +104,14 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _bounds(pts: np.ndarray):
+    """(minima, maxima) over the rows of an (n, 3) array: taken along the
+    rows of its contiguous transpose, several times faster than a reduction
+    over axis 0 from about ten rows up, and exact all the same."""
+    t = np.ascontiguousarray(pts.T)
+    return t.min(axis=1), t.max(axis=1)
+
+
 def _antenna_clusters(antennas: np.ndarray, members=None):
     """The bounding-sphere tree of the antennas (or of `members`, indices
     into them): a node is (members, center, radius, children), and a node
@@ -114,7 +122,7 @@ def _antenna_clusters(antennas: np.ndarray, members=None):
     if members.size == 0:
         return None
     pts = antennas[members]
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = _bounds(pts)
     center = 0.5 * (lo + hi)
     radius = float(np.sqrt(
         np.einsum("ij,ij->i", pts - center, pts - center).max()))
@@ -540,7 +548,7 @@ class ImagePathTable:
             side = entry["image_side"] = (
                 vecs, offs, tt, iv,
                 (iv.min(axis=1).tolist(), iv.max(axis=1).tolist()),
-                (target0.min(axis=0), target0.max(axis=0)),
+                _bounds(target0),
                 math.sqrt(tt.max()))
         return side
 
@@ -584,7 +592,7 @@ class ImagePathTable:
         ori = self.copol if orientation is None else unit(orientation)
         pp = np.einsum("vi,vi->v", points, points)
         p_ori = points @ ori
-        p_lo, p_hi = points.min(axis=0), points.max(axis=0)
+        p_lo, p_hi = _bounds(points)
         p_far = float(np.sqrt(pp.max()))
         every = np.arange(self.antennas.shape[0])
         for entry in self._entries:

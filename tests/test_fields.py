@@ -809,7 +809,7 @@ class TestBlockForward:
                                         sbr=cfg)
         assert np.abs(want).max() > 0
         assert got.samples.tobytes() == want.tobytes()
-        # Complex weights and the tx x rx product round in BLAS instead:
+        # Complex weights are rounded into the phasors by the fold instead:
         # a few ulps of the peak.
         sources = mixed_sources(7, 5)
         want = oracle_radiation(sources, arrays, sc, SWEEP, max_order=2,
@@ -825,6 +825,43 @@ class TestBlockForward:
                                          SWEEP, max_order=2,
                                          path_engine="sbr", sbr=cfg)
         assert within(got.samples, want, 1e-15)
+
+    @pytest.mark.parametrize("amplitude", ["phase_only", "far_field"])
+    def test_images_one_emitter_blocks_bit_for_bit(self, amplitude):
+        # The images engine puts emitters of distinct orientations in
+        # blocks of one, and a Born forward of one target is one block.
+        # With unit amplitudes each block adds the per-emitter sum's bits,
+        # several leg classes per side and cut columns included.
+        arrays = small_arrays(n_rx=40)
+        sc = Scene([GROUND, WALL])
+        rng = np.random.default_rng(21)
+        sources = [DipoleSource(rng.uniform([-0.4, -0.3, 0.4],
+                                            [0.4, 0.3, 0.9]),
+                                rng.normal(size=3))
+                   for _ in range(6)]
+        oris = np.array([s.orientation for s in sources])
+        assert all(b.size == 1 for b in fields._blocks(oris, fields._CHUNK))
+        table = ImagePathTable(sc, arrays.rx_positions, 2, arrays.copol)
+        classes = [fields._block_legs(table, s.position[None],
+                                      s.orientation, amplitude)[2]
+                   for s in sources]
+        assert max(len(c) for c in classes) > 1
+        assert any(sl.stop - sl.start < 40 for cl in classes for sl, _ in cl)
+        want = oracle_radiation(sources, arrays, sc, SWEEP, max_order=2,
+                                amplitude=amplitude)
+        got = synthesize_radiation_data(sources, arrays, sc, SWEEP,
+                                        max_order=2, amplitude=amplitude)
+        assert np.abs(want).max() > 0
+        assert got.samples.tobytes() == want.tobytes()
+        for s in sources[:3]:
+            target = [PointScatterer(s.position)]
+            want = oracle_scattering(target, scattering_arrays(), sc, SWEEP,
+                                     max_order=2, amplitude=amplitude)
+            got = synthesize_scattering_data(target, scattering_arrays(),
+                                             sc, SWEEP, max_order=2,
+                                             amplitude=amplitude)
+            assert np.abs(want).max() > 0
+            assert got.samples.tobytes() == want.tobytes()
 
     def test_no_block_sized_spectrum_is_held(self):
         # A (K, N, A) spectrum of one 128-emitter block would take 2.8 GB

@@ -562,6 +562,38 @@ class TestAntennaTree:
         assert sbr_trace((0, 0, 0), antennas, Scene([]), cfg) == expected
 
 
+class TestBounds:
+    """`_bounds` against the axis-0 reductions it replaced: min and max
+    pick an element, so the boxes are the same numbers."""
+
+    def test_builtin_antennas_and_images_bit_for_bit(self):
+        arrays = []
+        for name in ("tum_logo", "three_spheres", "hidden_dipole",
+                     "parallel_plates"):
+            s = get_scenario(name)
+            for ants in (s.arrays.tx_positions, s.arrays.rx_positions):
+                if ants.shape[0]:
+                    table = ImagePathTable(s.scene, ants, 3, s.arrays.copol)
+                    arrays += [e["images"][0] for e in table._entries]
+        rng = np.random.default_rng(12)
+        arrays += [rng.normal(size=(n, 3)) for n in (1, 2, 7, 16, 37, 1360)]
+        arrays.append(np.tile([0.5, -0.8, 0.9], (100, 1)))  # ties
+        for pts in arrays:
+            lo, hi = propagation._bounds(pts)
+            assert lo.tobytes() == pts.min(axis=0).tobytes()
+            assert hi.tobytes() == pts.max(axis=0).tobytes()
+
+    def test_signed_zeros_tie_by_value(self):
+        # Where +0.0 and -0.0 tie, either may be picked; the boxes are only
+        # compared and subtracted, where the two are the same number.
+        pts = np.zeros((40, 3))
+        pts[::3] = -0.0
+        pts[5] = (1.0, -1.0, 0.0)
+        lo, hi = propagation._bounds(pts)
+        assert np.array_equal(lo, pts.min(axis=0))
+        assert np.array_equal(hi, pts.max(axis=0))
+
+
 def dist2_scalar(o, d, t_hit, target):
     """`_segment_dist2` of one segment in Python floats, in its order."""
     tc = ((target[0] - o[0]) * d[0] + (target[1] - o[1]) * d[1]
