@@ -334,10 +334,11 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
     the reflector sequences the path engine picks for a point block.
 
     `images` picks every sequence up to `max_order`, whatever the points.
-    `sbr` picks the sequences that one `sbr_trace` launch from the points,
-    seeded `sbr.rng_seed + launch`, captured at any antenna of the set, up to
-    `max_order` bounces (default: an `SbrConfig` with `max_order` bounces;
-    one with any other `max_bounces` is refused).
+    `sbr` picks, for each set, the sequences that one `sbr_trace` launch
+    from the points over all the sets, seeded `sbr.rng_seed + launch`,
+    captured at some antenna of the set, up to `max_order` bounces (default:
+    an `SbrConfig` with `max_order` bounces; one with any other
+    `max_bounces` is refused).
     """
     if path_engine == "images":
         fixed = [ImagePathTable(scene, ants, max_order, copol)
@@ -352,15 +353,11 @@ def _path_tables(scene: Scene, antenna_sets: Sequence[np.ndarray], copol,
     _check_order(max_order)  # refuse before any launch
 
     def tables(points, launch=0):
-        per_antenna = sbr_trace(points, np.concatenate(antenna_sets), scene,
-                                replace(cfg, rng_seed=cfg.rng_seed + launch))
-        out, start = [], 0
-        for ants in antenna_sets:
-            seqs = set().union(*per_antenna[start:start + len(ants)])
-            start += len(ants)
-            out.append(ImagePathTable(scene, ants, max_order, copol,
-                                      enumeration_order(seqs, scene)))
-        return out
+        found = sbr_trace(points, antenna_sets, scene,
+                          replace(cfg, rng_seed=cfg.rng_seed + launch))
+        return [ImagePathTable(scene, ants, max_order, copol,
+                               enumeration_order(seqs, scene))
+                for ants, seqs in zip(antenna_sets, found)]
     return tables
 
 

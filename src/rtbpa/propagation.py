@@ -37,6 +37,9 @@ MAX_RAYS = 10_000_000
 CLUSTER_SIZE = 64
 # Most (ray, antenna) pairs one exact SBR capture test holds at a time.
 PAIR_BLOCK = 1 << 16
+# Live rays in the first batch of a bounce's SBR capture test for one
+# antenna set; each next batch is twice as large.
+FIRST_BATCH = 256
 
 
 @dataclass
@@ -47,6 +50,13 @@ class SbrConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # A float or bool count would pass the range checks and then fail
+        # (or, as True, run) inside the launch.
+        for name in ("ray_count", "max_bounces", "rng_seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.ray_count <= MAX_RAYS:
             raise ValueError(f"ray_count must be in 1..{MAX_RAYS}")
         if self.max_bounces < 0:
@@ -147,10 +157,11 @@ def _segment_dist2(o, d, t_hit, target):
     return cx * cx + cy * cy + cz * cz
 
 
-def sbr_trace(points, antennas, scene: Scene,
+def sbr_trace(points, antenna_sets, scene: Scene,
               cfg: SbrConfig) -> List[Set[Tuple[int, ...]]]:
     """Shoot cfg.ray_count rays from a point or an (N, 3) point block; return,
-    per antenna, the set of interaction sequences its rays captured.
+    per antenna set, the set of interaction sequences that some ray captured
+    at some antenna of the set.
 
     Ray r starts at point floor(r * N / ray_count), so a one-point block
     launches the rays of the point itself and every point gets a ray when
@@ -159,19 +170,24 @@ def sbr_trace(points, antennas, scene: Scene,
     only a candidate: the exact path of each one (and whether it exists)
     comes from the image method.
 
-    At every bounce the capture test walks the antennas' bounding-sphere
-    tree (`_antenna_clusters`) top down, with the live rays held as
-    coordinate rows. A node drops the rays, among those its parent kept,
+    At every bounce each set tests the live rays in batches, in ray order,
+    of FIRST_BATCH rays and then twice as many each time. A batch drops the
+    rays whose sequence the set already holds and walks the set's own
+    bounding-sphere tree (`_antenna_clusters`) top down with the rest held
+    as coordinate rows. A node drops the rays, among those its parent kept,
     whose segment passes farther than the node's radius plus the capture
     radius (plus a rounding margin) from its center, so that none of its
     antennas can capture them. A leaf then tests its kept rays against each
     of its antennas exactly, in dense blocks of at most PAIR_BLOCK pairs,
-    with the per-pair arithmetic of `_segment_dist2`. Every node is
-    conservative and the exact test of a pair does not depend on its block,
-    so the capture sets do not depend on the tree or the blocks.
+    with the per-pair arithmetic of `_segment_dist2`. A dropped ray could
+    add nothing to its set, every node is conservative and the exact test
+    of a pair does not depend on its block, so each set is the union of
+    what one pass per antenna of it captures, whatever the tree, batches
+    or blocks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
+    antenna_sets = [np.asarray(ants, dtype=float).reshape(-1, 3)
+                    for ants in antenna_sets]
     rng = np.random.default_rng(cfg.rng_seed)
     n = cfg.ray_count
     dirs = _uniform_sphere(rng, n)
@@ -180,37 +196,38 @@ def sbr_trace(points, antennas, scene: Scene,
     # Live rays that hit the same facets share a code; seq_of[code] holds
     # their sequence.
     codes, seq_of = np.zeros(n, dtype=np.int64), [()]
-    captured: List[Set[Tuple[int, ...]]] = [set() for _ in antennas]
+    captured: List[Set[Tuple[int, ...]]] = [set() for _ in antenna_sets]
     facet_ids = [f.id for f in scene.all_facets]
     facet_normals = (np.array([f.normal for f in scene.all_facets])
                      if scene.all_facets else np.empty((0, 3)))
-    tree = _antenna_clusters(antennas)
+    trees = [_antenna_clusters(ants) for ants in antenna_sets]
     r2 = cfg.capture_radius ** 2
     # The computed distances of a captured pair and of its node's center
     # each err by a few ulps of the coordinates involved; this margin is
     # orders of magnitude above that.
-    scale = 1.0 + (float(np.abs(antennas).max()) if antennas.size else 0.0)
+    scale = 1.0 + max((float(np.abs(ants).max()) for ants in antenna_sets
+                       if ants.size), default=0.0)
 
-    def walk(node, rows):
-        """Arrays of capture keys, antenna * len(seq_of) + code, under
-        `node` of the rays in rows (9, k): origin, direction, t_hit, margin
+    def walk(ants, node, rows, done):
+        """Set done[code] for the codes that the antennas under `node`
+        capture of the rays in rows (9, k): origin, direction, t_hit, margin
         and code."""
         members, center, radius, children = node
         rows = rows[:, _segment_dist2(rows[0:3], rows[3:6], rows[6], center)
                     <= (radius + cfg.capture_radius + rows[7]) ** 2]
         if not rows.shape[1]:
-            return []
+            return
         if children:
-            return [key for child in children for key in walk(child, rows)]
-        keys, ants = [], antennas.T[:, None, members]
+            for child in children:
+                walk(ants, child, rows, done)
+            return
+        at = ants.T[:, None, members]
         step = max(1, PAIR_BLOCK // members.size)
         for lo in range(0, rows.shape[1], step):
             blk = rows[:, lo:lo + step, None]
-            ray, ant = np.nonzero(
-                _segment_dist2(blk[0:3], blk[3:6], blk[6], ants) <= r2)
-            keys.append(members[ant] * len(seq_of)
-                        + blk[8, ray, 0].astype(np.int64))
-        return keys
+            hit = (_segment_dist2(blk[0:3], blk[3:6], blk[6], at)
+                   <= r2).any(axis=1)
+            done[blk[8, hit, 0].astype(np.int64)] = True
 
     for bounce in range(cfg.max_bounces + 1):
         idx = np.flatnonzero(alive)
@@ -218,17 +235,22 @@ def sbr_trace(points, antennas, scene: Scene,
             break
         o = origins[idx]
         d = dirs[idx]
+        live_codes = codes[idx]
         t_hit, hit_fi = rays_nearest_hit(o, d, scene)
-        if tree is not None:
-            ax, ay, az = np.abs(o.T)  # 10x faster than a reduce over axis 1
-            margin = 1e-9 * (scale + np.maximum(np.maximum(ax, ay), az))
-            keys = walk(tree, np.vstack((o.T, d.T, t_hit, margin, codes[idx])))
-            # One key per (antenna, sequence) before any set is touched;
-            # return_index keeps np.unique from importing numpy.ma.
-            keys = np.concatenate(keys or [np.empty(0, np.int64)])
-            for key in np.unique(keys, return_index=True)[0].tolist():
-                ant, code = divmod(key, len(seq_of))
-                captured[ant].add(seq_of[code])
+        for ants, tree, seqs in zip(antenna_sets, trees, captured):
+            if tree is None:
+                continue
+            done = np.zeros(len(seq_of), dtype=bool)
+            lo, size = 0, FIRST_BATCH
+            while lo < idx.size:
+                sel = lo + np.flatnonzero(~done[live_codes[lo:lo + size]])
+                lo, size = lo + size, 2 * size
+                ob = o[sel].T
+                ax, ay, az = np.abs(ob)  # 10x faster than a reduce over axis 1
+                margin = 1e-9 * (scale + np.maximum(np.maximum(ax, ay), az))
+                walk(ants, tree, np.vstack((ob, d[sel].T, t_hit[sel], margin,
+                                            live_codes[sel])), done)
+            seqs.update(seq_of[code] for code in np.flatnonzero(done).tolist())
         if bounce == cfg.max_bounces:
             break
         hit_ok = np.isfinite(t_hit)

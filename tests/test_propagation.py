@@ -283,7 +283,8 @@ class TestFindPathsSbr:
     def test_trace_returns_sequences_per_antenna(self):
         cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=11)
-        per_antenna = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7), (-0.6, 0.3, 0.5)],
+        antennas = [(0.8, 0, 0.7), (-0.6, 0.3, 0.5)]
+        per_antenna = sbr_trace((0, 0, 0.7), [[a] for a in antennas],
                                 ground_scene(), cfg)
         assert per_antenna == [{(), (1,)}, {(), (1,)}]
 
@@ -296,8 +297,9 @@ class TestFindPathsSbr:
                         rng_seed=7)
         antennas = [(0.5, 0.8, 0.9), (-0.4, 0.6, 0.3)]
         expected = [{(), (1,), (2,)}, {(), (1,), (1, 2), (2,), (2, 1)}]
-        assert sbr_trace((0.1, 0, 0.6), antennas, sc, cfg) == expected
-        assert sbr_trace([[0.1, 0, 0.6]], antennas, sc, cfg) == expected
+        sets = [[a] for a in antennas]
+        assert sbr_trace((0.1, 0, 0.6), sets, sc, cfg) == expected
+        assert sbr_trace([[0.1, 0, 0.6]], sets, sc, cfg) == expected
 
     @pytest.mark.parametrize("extra", [0, 3, 6])
     def test_block_gives_every_point_a_ray(self, extra):
@@ -306,8 +308,8 @@ class TestFindPathsSbr:
         points = np.array([[5.0 * i, 0.0, 0.0] for i in range(7)])
         cfg = SbrConfig(ray_count=len(points) + extra, max_bounces=0,
                         capture_radius=0.05, rng_seed=1)
-        per_antenna = sbr_trace(points, points + [0.0, 0.0, 0.01], Scene([]),
-                                cfg)
+        per_antenna = sbr_trace(points, [[a] for a in points + [0, 0, 0.01]],
+                                Scene([]), cfg)
         assert per_antenna == [{()}] * len(points)
 
     def test_sequences_sorted_as_enumerated(self):
@@ -324,7 +326,7 @@ class TestFindPathsSbr:
     def test_single_missing_ray_gives_empty(self):
         cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.01,
                         rng_seed=0)
-        assert sbr_trace((0, 0, 0.7), [(5.0, 0, 0.7)], ground_scene(),
+        assert sbr_trace((0, 0, 0.7), [[(5.0, 0, 0.7)]], ground_scene(),
                          cfg) == [set()]
 
     def test_zero_bounce_los_exact(self):
@@ -338,8 +340,8 @@ class TestFindPathsSbr:
         sc = ground_scene()
         cfg = SbrConfig(ray_count=30_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=5)
-        a = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)
-        b = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)
+        a = sbr_trace((0, 0, 0.7), [[(0.8, 0, 0.7)]], sc, cfg)
+        b = sbr_trace((0, 0, 0.7), [[(0.8, 0, 0.7)]], sc, cfg)
         assert a == b
         assert sbr_table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), cfg) == \
             sbr_table_legs(sc, (0, 0, 0.7), (0.8, 0, 0.7), cfg)  # bit-for-bit
@@ -361,7 +363,7 @@ class TestFindPathsSbr:
         sc = Scene([Facet.plane(1, (0, 0, 0), (0, 0, 1)), plate])
         cfg = SbrConfig(ray_count=50_000, max_bounces=1, capture_radius=0.05,
                         rng_seed=9)
-        captured = sbr_trace((0, 0, 0.7), [(0.8, 0, 0.7)], sc, cfg)[0]
+        captured = sbr_trace((0, 0, 0.7), [[(0.8, 0, 0.7)]], sc, cfg)[0]
         assert captured and () not in captured
 
     def test_sbr_run_does_not_load_numpy_ma(self):
@@ -427,6 +429,25 @@ class TestFindPathsSbr:
     def test_largest_capture_radius_accepted(self):
         assert SbrConfig(capture_radius=1e154).capture_radius == 1e154
 
+    @pytest.mark.parametrize("field", ["ray_count", "max_bounces",
+                                       "rng_seed"])
+    @pytest.mark.parametrize("value", [1e3, 2.5, 1.0, True, False,
+                                       np.float64(3.0), np.bool_(True), "3",
+                                       None])
+    def test_non_integer_counts_rejected(self, field, value):
+        # They passed the range checks, then failed inside the launch with
+        # a numpy TypeError; max_bounces=True ran as 1.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SbrConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        ints = SbrConfig(ray_count=20_000, max_bounces=1, rng_seed=4)
+        numpy_ints = SbrConfig(ray_count=np.int32(20_000),
+                               max_bounces=np.int64(1), rng_seed=np.uint8(4))
+        args = (0, 0, 0.7), [[(0.8, 0, 0.7)]], ground_scene()
+        assert sbr_trace(*args, numpy_ints) == sbr_trace(*args, ints) == [
+            {(), (1,)}]
+
 
 def _packed_case():
     """100 antennas within 5 cm of a source 10 cm over a ground plane, with
@@ -476,26 +497,72 @@ def _capture_cases():
     yield ("packed_at_source",) + _packed_case()
 
 
+def union(per_antenna):
+    return set().union(*per_antenna)
+
+
 class TestCaptureOracle:
-    """`sbr_trace` captures exactly what one pass per antenna captures."""
+    """`sbr_trace` captures exactly what one pass per antenna captures: a
+    set holds the union of the oracle over its antennas."""
 
     @pytest.mark.parametrize("case", list(_capture_cases()),
                              ids=lambda case: case[0])
     def test_matches_per_antenna_loop(self, case):
         _, points, antennas, scene, cfg = case
+        antennas = np.asarray(antennas, dtype=float).reshape(-1, 3)
         expected = reference_trace(points, antennas, scene, cfg)
-        assert sbr_trace(points, antennas, scene, cfg) == expected
+        assert sbr_trace(points, [[a] for a in antennas], scene,
+                         cfg) == expected
         if len(expected) > 1 and scene.all_facets:
             assert any(len(seqs) > 1 for seqs in expected)
+        half = len(antennas) // 2
+        assert sbr_trace(points, [antennas], scene, cfg) == [union(expected)]
+        assert sbr_trace(points, [antennas[:half], antennas[half:]], scene,
+                         cfg) == [union(expected[:half]),
+                                  union(expected[half:])]
 
     def test_packed_antennas_over_small_pair_blocks(self, monkeypatch):
-        # Each block holds one ray's pairs with a group (two groups of 50),
-        # so every bounce flushes hundreds of blocks.
+        # As one set in one batch, each block holds one ray's pairs with a
+        # group (two groups of 50), so every bounce flushes hundreds of
+        # blocks; one antenna per set, each block holds 64 rays' pairs.
         source, antennas, scene, cfg = _packed_case()
         expected = reference_trace(source, antennas, scene, cfg)
         assert expected == [{(), (1,)}] * len(antennas)
         monkeypatch.setattr(propagation, "PAIR_BLOCK", 64)
-        assert sbr_trace(source, antennas, scene, cfg) == expected
+        assert sbr_trace(source, [[a] for a in antennas], scene,
+                         cfg) == expected
+        monkeypatch.setattr(propagation, "FIRST_BATCH", cfg.ray_count)
+        assert sbr_trace(source, [antennas], scene, cfg) == [{(), (1,)}]
+
+
+class TestCaptureSets:
+    """The batches of a set's capture test: a ray is dropped only when its
+    sequence is in the set already."""
+
+    @pytest.mark.parametrize("name", ["plates_seed0", "hidden_grid_points"])
+    def test_any_first_batch_matches_the_oracle(self, name, monkeypatch):
+        _, points, antennas, scene, cfg = next(
+            case for case in _capture_cases() if case[0] == name)
+        expected = union(reference_trace(points, antennas, scene, cfg))
+        assert len(expected) > 1
+        for size in (1, 7, cfg.ray_count, 10 * cfg.ray_count):
+            monkeypatch.setattr(propagation, "FIRST_BATCH", size)
+            assert sbr_trace(points, [antennas], scene,
+                             cfg) == [expected], size
+
+    def test_set_that_misses_a_code_does_not_hide_it(self):
+        # three_spheres from its targets: the one tx antenna captures a
+        # sequence that none of the 1360 rx antennas does. Each set keeps
+        # its own captures, in either order.
+        spheres = get_scenario("three_spheres")
+        tx, rx = spheres.arrays.tx_positions, spheres.arrays.rx_positions
+        _, points, antennas, scene, cfg = next(
+            case for case in _capture_cases() if case[0] == "spheres_tx_rx")
+        expected = reference_trace(points, antennas, scene, cfg)
+        want = [union(expected[:len(tx)]), union(expected[len(tx):])]
+        assert want[0] - want[1]
+        assert sbr_trace(points, [tx, rx], scene, cfg) == want
+        assert sbr_trace(points, [rx, tx], scene, cfg) == want[::-1]
 
 
 def tree_nodes(node):
@@ -516,7 +583,12 @@ class TestAntennaTree:
         expected = reference_trace(points, antennas, scene, cfg)
         for size in (1, 7):  # trees of 10-12 and 8-9 levels, not 4-6
             monkeypatch.setattr(propagation, "CLUSTER_SIZE", size)
-            assert sbr_trace(points, antennas, scene, cfg) == expected, size
+            assert sbr_trace(points, [[a] for a in antennas], scene,
+                             cfg) == expected, size
+            # One set in one batch: every live ray walks the deep tree.
+            monkeypatch.setattr(propagation, "FIRST_BATCH", cfg.ray_count)
+            assert sbr_trace(points, [antennas], scene,
+                             cfg) == [union(expected)], size
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_spheres_hold_their_members(self, size, monkeypatch):
@@ -559,7 +631,26 @@ class TestAntennaTree:
         assert np.isclose(np.linalg.norm(antennas[0] - leaf[1]), leaf[2])
         expected = [{()}] + [set()] * 9
         assert reference_trace((0, 0, 0), antennas, Scene([]), cfg) == expected
-        assert sbr_trace((0, 0, 0), antennas, Scene([]), cfg) == expected
+        assert sbr_trace((0, 0, 0), [[a] for a in antennas], Scene([]),
+                         cfg) == expected
+        assert sbr_trace((0, 0, 0), [antennas], Scene([]), cfg) == [{()}]
+
+    @pytest.mark.parametrize("size", [1, 4, 64])
+    def test_ray_between_the_antennas_of_a_leaf_not_captured(self, size,
+                                                            monkeypatch):
+        # One ray from the origin crosses a line of ten antennas 0.3 m
+        # apart, midway between two of them: inside the sphere of every leaf
+        # that spans them, 0.15 m from the nearest antenna.
+        monkeypatch.setattr(propagation, "CLUSTER_SIZE", size)
+        cfg = SbrConfig(ray_count=1, max_bounces=0, capture_radius=0.05,
+                        rng_seed=3)
+        u = propagation._uniform_sphere(np.random.default_rng(3), 1)[0]
+        e = np.cross(u, (0.0, 0.0, 1.0))
+        e /= np.linalg.norm(e)
+        antennas = 5.0 * u + np.outer(0.3 * np.arange(10) - 1.35, e)
+        assert reference_trace((0, 0, 0), antennas, Scene([]),
+                               cfg) == [set()] * 10
+        assert sbr_trace((0, 0, 0), [antennas], Scene([]), cfg) == [set()]
 
 
 class TestBounds:
